@@ -2,8 +2,9 @@
 
 Classify operator families as frames, build multiplier (pair-frame)
 operators from weighted family pairs, bound their norms, and invert them
-with truncated Neumann series — with brute-force oracles and deterministic
-generators for validation.
+with truncated Neumann series — with brute-force oracles (in
+``pairframe.oracle``, the one module that needs scipy, so it is not imported
+here) and deterministic generators for validation.
 """
 
 from .errors import (
@@ -39,7 +40,6 @@ from .neumann import (
     neumann_trace,
     reconstruct,
 )
-from .oracle import OracleConfig, brute_numerical_range, sphere_extremes
 from .pairs import (
     PairReport,
     PairSystem,
@@ -50,11 +50,9 @@ from .pairs import (
     compose,
     p_bessel_bound,
     pair_operator,
-    pair_operator_stacked,
     pq_pair_norm_bound,
 )
 from .spectral import (
-    SpectralReport,
     hermitian_extremes,
     invert,
     is_hermitian,
@@ -91,7 +89,6 @@ __all__ = [
     "PairReport",
     "PqBoundReport",
     "pair_operator",
-    "pair_operator_stacked",
     "adjoint_check",
     "classify_pair",
     "compose",
@@ -106,10 +103,6 @@ __all__ = [
     "GenSpec",
     "generate",
     "generate_pair",
-    "OracleConfig",
-    "sphere_extremes",
-    "brute_numerical_range",
-    "SpectralReport",
     "hermitian_extremes",
     "min_singular",
     "op_norm",

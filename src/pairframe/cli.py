@@ -31,7 +31,6 @@ from . import fileformat, generators, neumann, pairs, spectral
 from .errors import (
     DimensionMismatchError,
     FrameFileError,
-    InvalidSpecError,
     NotAFrameError,
     PairFrameError,
 )
@@ -149,8 +148,8 @@ def cmd_pair_analyze(args) -> int:
                 "dim": doc.dim,
                 "gamma_defaulted": defaulted,
                 "is_pair_frame": rep.is_pair_frame,
-                "op_norm": spectral.op_norm(rep.S),
-                "min_singular": spectral.min_singular(rep.S),
+                "op_norm": rep.op_norm,
+                "min_singular": rep.min_singular,
                 "condition_number": rep.condition_number,
                 "framelike_lower": rep.framelike_lower,
                 "framelike_upper": rep.framelike_upper,
@@ -166,8 +165,8 @@ def cmd_pair_analyze(args) -> int:
         lines.append("gamma: defaulted to the primary family")
     lines += [
         f"pair frame: {_yesno(rep.is_pair_frame)}",
-        f"op norm: {_num(spectral.op_norm(rep.S))}",
-        f"min singular: {_num(spectral.min_singular(rep.S))}",
+        f"op norm: {_num(rep.op_norm)}",
+        f"min singular: {_num(rep.min_singular)}",
     ]
     if rep.condition_number is not None:
         lines.append(f"condition number: {_num(rep.condition_number)}")
@@ -338,12 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     du = sub.add_parser("dual", help="canonical dual as a frame file")
     du.add_argument("path")
     du.add_argument("--tol", type=float, default=None)
-    du.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="accepted for symmetry; the dual is always a frame file",
-    )
     du.set_defaults(func=cmd_dual)
 
     ge = sub.add_parser("gen", help="write a generated frame file")
@@ -359,26 +352,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit code per error type; the first matching entry wins, so subclasses
+#: come before PairFrameError, their common base
+_EXIT_CODES = (
+    (DimensionMismatchError, 3),
+    (NotAFrameError, 4),
+    (PairFrameError, 2),
+)
+
+
 def main(argv=None) -> int:
     _limit_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FrameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotAFrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PairFrameError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

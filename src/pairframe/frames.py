@@ -119,12 +119,9 @@ def synthesis(family: OperatorFamily, h) -> np.ndarray:
 
 
 def frame_operator(family: OperatorFamily) -> np.ndarray:
-    """S = sum of L_i^H L_i, hermitian positive semidefinite by construction."""
-    n = family.ambient_dim
-    s = np.zeros((n, n), dtype=np.complex128)
-    for m in family.members:
-        s += m.conj().T @ m
-    return s
+    """S = sum of L_i^H L_i = L^H L for the stacked family L, hermitian
+    positive semidefinite by construction."""
+    return family.stacked.conj().T @ family.stacked
 
 
 @dataclass(frozen=True)
@@ -164,6 +161,38 @@ def _relative_tol(tol: float | None, lmax: float) -> tuple[float, float]:
     return tol, spectral.SINGULAR_TOL
 
 
+def _classify(
+    family: OperatorFamily, tol: float | None
+) -> tuple[ClassificationReport, np.ndarray | None]:
+    """:func:`classify` with the frame operator's inverse, which
+    :func:`canonical_dual` reuses; None when the invertibility certificate
+    fails."""
+    s = frame_operator(family)
+    lmin, lmax = spectral.hermitian_extremes(s)
+    lmax = max(0.0, lmax)
+    bounds = FrameBounds(lower=max(0.0, lmin), upper=lmax)
+    abs_tol, rel_tol = _relative_tol(tol, lmax)
+    is_frame = lmin > abs_tol
+    try:
+        s_inv = spectral.invert(s, rel_tol)
+    except SingularMatrixError:
+        s_inv = None
+    alpha_star = residual = None
+    if is_frame:
+        alpha_star = 1.0 / lmax
+        residual = spectral.op_norm(np.eye(family.ambient_dim) - s / lmax)
+    report = ClassificationReport(
+        is_bessel=True,
+        is_frame=is_frame,
+        bounds=bounds,
+        alpha_star=alpha_star,
+        residual=residual,
+        cert_invertible=s_inv is not None,
+        cert_surjective=s_inv is not None,
+    )
+    return report, s_inv
+
+
 def classify(family: OperatorFamily, tol: float | None = None) -> ClassificationReport:
     """Classify a family as Bessel/frame from its frame operator spectrum.
 
@@ -173,30 +202,7 @@ def classify(family: OperatorFamily, tol: float | None = None) -> Classification
     makes the threshold absolute. Invertibility is certified at the matching
     relative tolerance so the verdicts cannot drift apart at the boundary.
     """
-    s = frame_operator(family)
-    lmin, lmax = spectral.hermitian_extremes(s)
-    lmax = max(0.0, lmax)
-    bounds = FrameBounds(lower=max(0.0, lmin), upper=lmax)
-    abs_tol, rel_tol = _relative_tol(tol, lmax)
-    is_frame = lmin > abs_tol
-    try:
-        spectral.invert(s, rel_tol)
-        cert_invertible = True
-    except SingularMatrixError:
-        cert_invertible = False
-    alpha_star = residual = None
-    if is_frame:
-        alpha_star = 1.0 / lmax
-        residual = spectral.op_norm(np.eye(family.ambient_dim) - s / lmax)
-    return ClassificationReport(
-        is_bessel=True,
-        is_frame=is_frame,
-        bounds=bounds,
-        alpha_star=alpha_star,
-        residual=residual,
-        cert_invertible=cert_invertible,
-        cert_surjective=cert_invertible,
-    )
+    return _classify(family, tol)[0]
 
 
 def canonical_dual(family: OperatorFamily, tol: float | None = None) -> OperatorFamily:
@@ -206,12 +212,9 @@ def canonical_dual(family: OperatorFamily, tol: float | None = None) -> Operator
     composition sums to S^-1 S. Raises ``NotAFrameError`` when the family is
     not a frame at the given tolerance.
     """
-    report = classify(family, tol)
-    if not report.is_frame:
+    report, s_inv = _classify(family, tol)
+    if not report.is_frame or s_inv is None:
         raise NotAFrameError(
             f"frame operator has lambda_min = {report.bounds.lower:.3e}; no bounded dual"
         )
-    s = frame_operator(family)
-    _, rel_tol = _relative_tol(tol, report.bounds.upper)
-    s_inv = spectral.invert(s, rel_tol)
     return OperatorFamily([m @ s_inv for m in family.members], family.ambient_dim)

@@ -70,19 +70,20 @@ def _grid_residuals(s: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """norm(I - alpha*S) for a batch of alphas via the normal equations.
 
     (I - aS)^H (I - aS) = I - conj(a) S^H - a S + |a|^2 S^H S is hermitian,
-    so one batched eigendecomposition scans the whole grid; accuracy is
-    plenty for locating the basin, and the winner is re-evaluated by SVD.
+    so batched eigendecompositions scan the whole grid; accuracy is plenty
+    for locating the basin, and the winner is re-evaluated by SVD. Each
+    batch of normal matrices is built inside the loop, keeping memory at
+    one batch (about 32 MB) rather than the whole grid.
     """
     n = s.shape[0]
     eye = np.eye(n)
     sh = s.conj().T
     shs = sh @ s
-    a = alphas[:, None, None]
-    normal = eye - np.conj(a) * sh - a * s + (np.abs(a) ** 2) * shs
     chunk = max(1, (1 << 21) // max(n * n, 1))
     out = np.empty(len(alphas))
     for start in range(0, len(alphas), chunk):
-        w = np.linalg.eigvalsh(normal[start : start + chunk])
+        a = alphas[start : start + chunk, None, None]
+        w = np.linalg.eigvalsh(eye - np.conj(a) * sh - a * s + (np.abs(a) ** 2) * shs)
         out[start : start + len(w)] = np.sqrt(np.maximum(w[:, -1], 0.0))
     return out
 
@@ -108,15 +109,18 @@ def find_alpha(
         raise NonSquareError(f"expected a square matrix, got shape {s.shape}")
     if grid < 4:
         raise ValueError("grid must be >= 4")
-    onorm = spectral.op_norm(s)
+    svals = np.linalg.svd(s, compute_uv=False)
+    onorm, smin = float(svals[0]), float(svals[-1])
     if onorm == 0.0:
         return NearIdentityReport(
             alpha=0j, residual=1.0, is_near_identity=False, is_positive_variant=False
         )
 
-    hermitian = spectral.is_hermitian(s)
+    sh = s.conj().T
+    hermitian = spectral.op_norm(s - sh) <= spectral.HERMITIAN_TOL * onorm
     if hermitian:
-        lmin, lmax = spectral.hermitian_extremes(s)
+        w = np.linalg.eigvalsh(0.5 * (s + sh))
+        lmin, lmax = float(w[0]), float(w[-1])
         if lmin > 0.0:
             alpha = 2.0 / (lmin + lmax)
             residual = _residual_norm(s, alpha)
@@ -127,7 +131,6 @@ def find_alpha(
                 is_positive_variant=True,
             )
 
-    smin = spectral.min_singular(s)
     lo = 1.0 / (10.0 * onorm)
     hi = 10.0 / max(smin, 1e-2 * onorm)
     mags = np.geomspace(lo, hi, grid)
@@ -188,7 +191,9 @@ def neumann_inverse(S, alpha: complex, N: int) -> np.ndarray:
 def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
     """Decay table of norm(I - (S^-1)_N S) for N = 0..N_max.
 
-    Each row is checked against the telescoped form
+    The partial sums are carried from row to row by the Horner step of
+    :func:`neumann_inverse`, so row N costs one product, not N. Each row is
+    checked against the telescoped form
     I - (S^-1)_N S = (I - alpha*S)^(N+1); disagreement beyond roundoff means
     a broken partial-sum evaluation and raises.
     """
@@ -202,9 +207,12 @@ def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
     residual = spectral.op_norm(r)
     entries = []
     r_pow = np.eye(s.shape[0], dtype=np.complex128)
+    acc = alpha * eye
     for n in range(N_max + 1):
+        if n:
+            acc = alpha * eye + r @ acc  # neumann_inverse(s, alpha, n)
         r_pow = r_pow @ r  # (I - alpha*S)^(n+1)
-        defect = eye - neumann_inverse(s, alpha, n) @ s
+        defect = eye - acc @ s
         gap = spectral.op_norm(defect - r_pow)
         if gap > 1e-10 * max(1.0, spectral.op_norm(r_pow)):
             raise PairFrameError(

@@ -98,19 +98,10 @@ class PairSystem:
 
 
 def pair_operator(system: PairSystem) -> np.ndarray:
-    """S = sum of m_i Gamma_i^H Lambda_i, accumulated member by member."""
-    n = system.ambient_dim
-    s = np.zeros((n, n), dtype=np.complex128)
-    for w, g, l in zip(system.m.values, system.gamma.members, system.lam.members):
-        s += w * (g.conj().T @ l)
-    return s
+    """S = sum of m_i Gamma_i^H Lambda_i as the product Gamma^H diag(m_i I) Lambda.
 
-
-def pair_operator_stacked(system: PairSystem) -> np.ndarray:
-    """Same operator through the factorization Gamma^H diag(m_i I) Lambda.
-
-    Kept as an independent evaluation route; it must agree with
-    :func:`pair_operator` to roundoff and the test suite holds it to 1e-12.
+    Gamma and Lambda are the stacked families and each weight is repeated
+    over its member's d_i rows, so the sum is one matrix product.
     """
     wexp = np.repeat(system.m.as_array(), system.gamma.codims)
     return (system.gamma.stacked.conj().T * wexp) @ system.lam.stacked
@@ -136,9 +127,13 @@ class PairReport:
     two-sided bound on |<S f, f>| over unit vectors, read off the numerical
     range. A positive lower constant forces invertibility, but not the other
     way around: ``is_pair_frame`` can hold with framelike_lower = 0.
+    ``op_norm`` and ``min_singular`` are the largest and smallest singular
+    values of S.
     """
 
     S: np.ndarray
+    op_norm: float
+    min_singular: float
     is_pair_frame: bool
     condition_number: float | None
     framelike_lower: float
@@ -158,12 +153,14 @@ def classify_pair(
     and the numerical radius.
     """
     s = pair_operator(system)
-    smin = spectral.min_singular(s)
-    onorm = spectral.op_norm(s)
+    svals = np.linalg.svd(s, compute_uv=False)
+    onorm, smin = float(svals[0]), float(svals[-1])
     invertible = smin > tol * onorm
     dist, radius = spectral.numerical_range_bounds(s, theta_steps=theta_steps)
     return PairReport(
         S=s,
+        op_norm=onorm,
+        min_singular=smin,
         is_pair_frame=invertible,
         condition_number=(onorm / smin) if invertible else None,
         framelike_lower=dist,

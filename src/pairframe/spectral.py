@@ -11,7 +11,6 @@ beat any iterative scheme on both robustness and determinism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,24 +45,6 @@ def as_matrix(a) -> np.ndarray:
 def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Extremal spectral quantities of one operator.
-
-    ``lambda_min``/``lambda_max`` are populated only when the input is
-    hermitian (within tolerance); the remaining fields are defined for any
-    square matrix. ``nr_distance`` is the distance of the numerical range
-    from the origin, ``nr_radius`` the numerical radius.
-    """
-
-    lambda_min: float | None
-    lambda_max: float | None
-    sigma_min: float
-    op_norm: float
-    nr_distance: float
-    nr_radius: float
 
 
 def is_hermitian(M, tol: float = HERMITIAN_TOL) -> bool:
@@ -209,26 +190,3 @@ def numerical_range_bounds(
     )
     return max(0.0, best_min), best_max
 
-
-def report(
-    M,
-    hermitian_tol: float = HERMITIAN_TOL,
-    theta_steps: int = THETA_STEPS,
-    refine_iters: int = REFINE_ITERS,
-) -> SpectralReport:
-    """Full :class:`SpectralReport` for a square matrix."""
-    m = as_matrix(M)
-    _require_square(m)
-    if is_hermitian(m, hermitian_tol):
-        lmin, lmax = hermitian_extremes(m, hermitian_tol)
-    else:
-        lmin = lmax = None
-    dist, radius = numerical_range_bounds(m, theta_steps, refine_iters)
-    return SpectralReport(
-        lambda_min=lmin,
-        lambda_max=lmax,
-        sigma_min=min_singular(m),
-        op_norm=op_norm(m),
-        nr_distance=dist,
-        nr_radius=radius,
-    )

@@ -93,3 +93,25 @@ def random_pair_system(seed: int, dim: int | None = None, count: int | None = No
 
 def family_for(spec: GenSpec) -> OperatorFamily:
     return generate(spec)
+
+
+# Reference routes: the operators summed member by member, independent of the
+# library's stacked factorizations L^H L and Gamma^H diag(m) Lambda.
+
+
+def summed_frame_operator(family: OperatorFamily) -> np.ndarray:
+    """S = sum of L_i^H L_i, accumulated member by member."""
+    n = family.ambient_dim
+    s = np.zeros((n, n), dtype=np.complex128)
+    for m in family.members:
+        s += m.conj().T @ m
+    return s
+
+
+def summed_pair_operator(system: PairSystem) -> np.ndarray:
+    """S = sum of m_i Gamma_i^H Lambda_i, accumulated member by member."""
+    n = system.ambient_dim
+    s = np.zeros((n, n), dtype=np.complex128)
+    for w, g, l in zip(system.m.values, system.gamma.members, system.lam.members):
+        s += w * (g.conj().T @ l)
+    return s

@@ -15,7 +15,6 @@ from pairframe import (
     OperatorFamily,
     PairSystem,
     analysis,
-    brute_numerical_range,
     canonical_dual,
     classify,
     classify_pair,
@@ -31,9 +30,9 @@ from pairframe import (
     pair_operator,
     pq_pair_norm_bound,
     reconstruct,
-    sphere_extremes,
     synthesis,
 )
+from pairframe.oracle import brute_numerical_range, sphere_extremes
 
 
 def _verdict(num: int, failures: list, detail: str) -> None:

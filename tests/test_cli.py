@@ -81,6 +81,12 @@ def test_dual_of_non_frame_exits_4():
     assert b"no bounded dual" in proc.stderr
 
 
+def test_dual_rejects_format_flag():
+    """dual always writes a frame file, so it takes no --format."""
+    proc = run_cli("dual", str(FIX / "mercedes.json"), "--format", "json", check_exit=2)
+    assert b"unrecognized arguments" in proc.stderr
+
+
 def test_neumann_auto_alpha_refusal_exits_4():
     proc = run_cli("neumann", str(FIX / "swap_pair.json"), check_exit=4)
     assert b"not near-identity" in proc.stderr

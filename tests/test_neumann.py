@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import complex_noise, family_for, rng_for
@@ -14,6 +16,7 @@ from pairframe import (
     frame_operator,
     neumann_inverse,
     neumann_trace,
+    op_norm,
     reconstruct,
 )
 
@@ -109,6 +112,21 @@ def test_find_alpha_argument_validation():
         find_alpha(np.eye(2), grid=2)
 
 
+def test_find_alpha_grid_memory_is_bounded():
+    """The non-hermitian grid scan holds one batch of normal matrices at a
+    time, not the whole grid (about 134 MB at n=32)."""
+    rng = rng_for(32)
+    s = np.eye(32) + 0.02 * complex_noise(rng, (32, 32))
+    tracemalloc.start()
+    try:
+        rep = find_alpha(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.is_positive_variant and rep.is_near_identity
+    assert peak < 100e6
+
+
 def test_near_identity_matches_frame_verdict_on_frame_operators():
     """For hermitian positive semidefinite frame operators the near-identity
     verdict and the frame verdict coincide."""
@@ -181,6 +199,17 @@ def test_trace_errors_obey_geometric_bound():
             assert entry.error <= entry.bound + 1e-9
         errs = [e.error for e in trace.entries]
         assert errs[-1] < errs[0]
+
+
+def test_trace_rows_match_partial_sums():
+    """Row N is the defect of neumann_inverse(S, alpha, N), bit for bit."""
+    rng = rng_for(84)
+    s = np.eye(6) + 0.3 * complex_noise(rng, (6, 6))
+    alpha = find_alpha(s).alpha
+    trace = neumann_trace(s, alpha, 15)
+    eye = np.eye(6, dtype=np.complex128)
+    for entry in trace.entries:
+        assert entry.error == op_norm(eye - neumann_inverse(s, alpha, entry.N) @ s)
 
 
 def test_trace_telescoping_holds_for_mild_residuals():

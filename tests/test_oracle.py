@@ -1,16 +1,21 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import rng_for
 
-from pairframe import (
-    DimensionTooLargeError,
-    OracleConfig,
-    brute_numerical_range,
-    numerical_range_bounds,
-    sphere_extremes,
-)
+from pairframe import DimensionTooLargeError, numerical_range_bounds
+from pairframe.oracle import OracleConfig, brute_numerical_range, sphere_extremes
 
 FAST = OracleConfig(sphere_samples=20_000, theta_samples=1024)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    """Only pairframe.oracle needs scipy; the package and its CLI do not load it."""
+    code = "import sys, pairframe, pairframe.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert proc.stdout.strip() == b"False"
 
 
 def test_config_validation():

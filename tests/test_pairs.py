@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import complex_noise, random_pair_system, rng_for, unit_vector
+from conftest import complex_noise, random_pair_system, rng_for, summed_pair_operator, unit_vector
 from numpy.testing import assert_allclose
 
 from pairframe import (
@@ -17,10 +17,10 @@ from pairframe import (
     compose,
     generate,
     generate_pair,
+    min_singular,
     op_norm,
     p_bessel_bound,
     pair_operator,
-    pair_operator_stacked,
     pq_pair_norm_bound,
 )
 
@@ -76,8 +76,8 @@ def test_pair_operator_swap_matrix():
 def test_summed_and_factorized_routes_agree():
     for seed in range(30):
         sys = random_pair_system(seed)
-        a = pair_operator(sys)
-        b = pair_operator_stacked(sys)
+        a = summed_pair_operator(sys)
+        b = pair_operator(sys)
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -99,6 +99,8 @@ def test_classify_pair_positive_system_matches_frame_bounds():
     assert_allclose(rep.framelike_lower, evals[0], atol=1e-9)
     assert_allclose(rep.framelike_upper, evals[-1], atol=1e-9)
     assert rep.condition_number == pytest.approx(evals[-1] / evals[0], rel=1e-8)
+    assert rep.op_norm == op_norm(rep.S) and rep.min_singular == min_singular(rep.S)
+    assert_allclose([rep.min_singular, rep.op_norm], [evals[0], evals[-1]], rtol=1e-10)
 
 
 def test_positive_framelike_lower_implies_pair_frame():

@@ -15,7 +15,6 @@ from pairframe import (
     numerical_range_bounds,
     op_norm,
 )
-from pairframe.spectral import report
 
 
 def test_hermitian_extremes_diagonal():
@@ -139,19 +138,6 @@ def test_numerical_range_contains_sampled_quadratic_forms(seed, n):
     vals = np.abs(np.einsum("ij,jk,ik->i", vecs.conj(), m, vecs))
     assert vals.min() >= dist - 1e-6
     assert vals.max() <= radius + 1e-6
-
-
-def test_report_hermitian_fields():
-    rep = report(np.diag([1.0, 4.0]))
-    assert rep.lambda_min == 1.0 and rep.lambda_max == 4.0
-    assert_allclose(rep.sigma_min, 1.0)
-    assert_allclose(rep.op_norm, 4.0)
-    assert_allclose([rep.nr_distance, rep.nr_radius], [1.0, 4.0], rtol=1e-10)
-
-
-def test_report_nonhermitian_has_no_eigenvalues():
-    rep = report(np.array([[0, 1], [0, 0]], dtype=complex))
-    assert rep.lambda_min is None and rep.lambda_max is None
 
 
 def test_is_hermitian():
