@@ -13,21 +13,18 @@ Exit codes: 0 success (verdicts included), 2 parse or validation failure,
 a system that is not near-identity).
 
 Text reports print every number with 6 significant digits; JSON reports
-carry full double precision with complex numbers as [re, im] pairs. The
-environment variable PAIRFRAME_THREADS caps the threads used by the
-underlying linear algebra.
+carry full double precision with complex numbers as [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import fileformat, generators, neumann, pairs, spectral
+from . import fileformat, generators, neumann, pairs
 from .errors import (
     DimensionMismatchError,
     FrameFileError,
@@ -38,27 +35,6 @@ from .frames import canonical_dual, classify
 from .pairs import classify_pair, pair_operator
 
 _TIGHT_REL = 1e-10
-
-_thread_limiter = None
-
-
-def _limit_threads() -> None:
-    global _thread_limiter
-    raw = os.environ.get("PAIRFRAME_THREADS")
-    if not raw:
-        return
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring PAIRFRAME_THREADS={raw!r}", file=sys.stderr)
-        return
-    try:
-        import threadpoolctl
-
-        _thread_limiter = threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
 
 def _num(x: float) -> str:
     return f"{float(x):.6g}"
@@ -138,7 +114,7 @@ def cmd_pair_analyze(args) -> int:
     doc = fileformat.load_document(args.path)
     defaulted = doc.gamma is None
     system = doc.pair_system()
-    rep = classify_pair(system, tol=args.tol, theta_steps=args.theta_steps)
+    rep = classify_pair(system, tol=args.tol)
     near = neumann.find_alpha(rep.S)
     if args.format == "json":
         _emit_json(
@@ -322,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = pair_sub.add_parser("analyze", help="pair-frame verdict and bounds")
     pa.add_argument("path")
     pa.add_argument("--tol", type=float, default=pairs.PAIR_TOL)
-    pa.add_argument("--theta-steps", type=int, default=spectral.THETA_STEPS)
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=cmd_pair_analyze)
 
@@ -362,7 +337,6 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -168,8 +168,9 @@ def _classify(
     :func:`canonical_dual` reuses; None when the invertibility certificate
     fails."""
     s = frame_operator(family)
-    lmin, lmax = spectral.hermitian_extremes(s)
-    lmax = max(0.0, lmax)
+    # L^H L is hermitian by construction, so no hermiticity check is needed
+    w = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
+    lmin, lmax = float(w[0]), max(0.0, float(w[-1]))
     bounds = FrameBounds(lower=max(0.0, lmin), upper=lmax)
     abs_tol, rel_tol = _relative_tol(tol, lmax)
     is_frame = lmin > abs_tol

@@ -73,13 +73,13 @@ def _grid_residuals(s: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     so batched eigendecompositions scan the whole grid; accuracy is plenty
     for locating the basin, and the winner is re-evaluated by SVD. Each
     batch of normal matrices is built inside the loop, keeping memory at
-    one batch (about 32 MB) rather than the whole grid.
+    one batch (about 4 MB) rather than the whole grid.
     """
     n = s.shape[0]
     eye = np.eye(n)
     sh = s.conj().T
     shs = sh @ s
-    chunk = max(1, (1 << 21) // max(n * n, 1))
+    chunk = max(1, (1 << 18) // max(n * n, 1))
     out = np.empty(len(alphas))
     for start in range(0, len(alphas), chunk):
         a = alphas[start : start + chunk, None, None]
@@ -88,27 +88,22 @@ def _grid_residuals(s: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def find_alpha(
-    S,
-    grid: int = ALPHA_GRID,
-    refine_iters: int = ALPHA_REFINE_ITERS,
-) -> NearIdentityReport:
+def find_alpha(S) -> NearIdentityReport:
     """Scalar alpha minimizing norm(I - alpha*S), with verdicts.
 
     Hermitian positive definite S gets the classical optimum
     alpha = 2/(lambda_min + lambda_max) in closed form. Otherwise the
-    magnitude-angle plane is scanned on a grid x grid log-polar lattice and
-    the best point is polished by a convergent pattern search on (Re alpha,
-    Im alpha) — norm(I - alpha*S) is convex in alpha. Any alpha certifying
-    near-identity must satisfy |alpha| < 2/op_norm(S), so the search annulus
-    is clipped accordingly. S = 0 yields the verdict-false report with
-    alpha = 0 (no nonzero scalar can help; the residual is 1).
+    magnitude-angle plane is scanned on an ALPHA_GRID x ALPHA_GRID log-polar
+    lattice and the best point is polished by ALPHA_REFINE_ITERS rounds of a
+    convergent pattern search on (Re alpha, Im alpha) — norm(I - alpha*S) is
+    convex in alpha. Any alpha certifying near-identity must satisfy
+    |alpha| < 2/op_norm(S), so the search annulus is clipped accordingly.
+    S = 0 yields the verdict-false report with alpha = 0 (no nonzero scalar
+    can help; the residual is 1).
     """
     s = spectral.as_matrix(S)
     if s.shape[0] != s.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {s.shape}")
-    if grid < 4:
-        raise ValueError("grid must be >= 4")
     svals = np.linalg.svd(s, compute_uv=False)
     onorm, smin = float(svals[0]), float(svals[-1])
     if onorm == 0.0:
@@ -133,8 +128,8 @@ def find_alpha(
 
     lo = 1.0 / (10.0 * onorm)
     hi = 10.0 / max(smin, 1e-2 * onorm)
-    mags = np.geomspace(lo, hi, grid)
-    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    mags = np.geomspace(lo, hi, ALPHA_GRID)
+    angles = np.linspace(0.0, 2.0 * math.pi, ALPHA_GRID, endpoint=False)
     alphas = (mags[:, None] * np.exp(1j * angles)[None, :]).ravel()
     coarse = _grid_residuals(s, alphas)
 
@@ -147,7 +142,7 @@ def find_alpha(
             best_alpha, best_res = complex(alphas[k]), r
 
     step = 0.2 * abs(best_alpha)
-    for _ in range(refine_iters):
+    for _ in range(ALPHA_REFINE_ITERS):
         moved = False
         for d in (step, -step, 1j * step, -1j * step):
             cand = best_alpha + d

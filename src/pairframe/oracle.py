@@ -29,17 +29,14 @@ _ZOOM_SHRINK = 0.35
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sampling budget and agreement tolerance for the brute-force oracles."""
+    """Sampling budget of the brute-force oracles."""
 
     sphere_samples: int = 200_000
     theta_samples: int = 4096
-    tolerance: float = 1e-3
 
     def __post_init__(self):
         if self.sphere_samples < 1 or self.theta_samples < 1:
             raise ValueError("sample counts must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 def _check_dim(dim: int) -> None:
@@ -63,19 +60,18 @@ def _sobol_sphere(dim: int, n: int) -> np.ndarray:
 
 
 def _evaluate(objective, points: np.ndarray) -> np.ndarray:
-    """Apply an objective to (k, dim) points, batched when supported.
+    """Apply an objective to a (k, dim) block of points.
 
-    Objectives may either map one unit vector to a real or map a (k, dim)
-    block to a (k,) array; the batched form is tried first and the
-    per-vector form is the fallback.
+    Objectives map the whole block to a (k,) array of reals; any other
+    shape raises ``ValueError``.
     """
-    try:
-        vals = np.asarray(objective(points), dtype=np.float64)
-        if vals.shape == (points.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(objective(p)) for p in points], dtype=np.float64)
+    vals = np.asarray(objective(points), dtype=np.float64)
+    if vals.shape != (points.shape[0],):
+        raise ValueError(
+            f"objective must map a ({points.shape[0]}, dim) block to shape "
+            f"({points.shape[0]},), got {vals.shape}"
+        )
+    return vals
 
 
 def _zoom(objective, starts: np.ndarray, start_vals: np.ndarray, per_round: int, sign: float):
@@ -104,7 +100,8 @@ def _zoom(objective, starts: np.ndarray, start_vals: np.ndarray, per_round: int,
 def sphere_extremes(objective, dim: int, cfg: OracleConfig = OracleConfig()) -> tuple[float, float]:
     """Observed (min, max) of a real objective over the complex unit sphere.
 
-    A scrambled Sobol stream is pushed through the inverse normal CDF and
+    The objective maps a (k, dim) block of unit vectors to a (k,) array. A
+    scrambled Sobol stream is pushed through the inverse normal CDF and
     normalized, giving a deterministic quasi-uniform sphere sample; the best
     and worst points then seed shrinking-radius local refinements.
     """

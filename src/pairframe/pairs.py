@@ -141,11 +141,7 @@ class PairReport:
     adjoint_residual: float
 
 
-def classify_pair(
-    system: PairSystem,
-    tol: float = PAIR_TOL,
-    theta_steps: int = spectral.THETA_STEPS,
-) -> PairReport:
+def classify_pair(system: PairSystem, tol: float = PAIR_TOL) -> PairReport:
     """Pair-frame verdict with frame-like constants and adjoint residual.
 
     The verdict is min_singular(S) > tol * op_norm(S); the frame-like
@@ -156,7 +152,7 @@ def classify_pair(
     svals = np.linalg.svd(s, compute_uv=False)
     onorm, smin = float(svals[0]), float(svals[-1])
     invertible = smin > tol * onorm
-    dist, radius = spectral.numerical_range_bounds(s, theta_steps=theta_steps)
+    dist, radius = spectral.numerical_range_bounds(s)
     return PairReport(
         S=s,
         op_norm=onorm,

@@ -25,7 +25,7 @@ from .errors import (
 HERMITIAN_TOL = 1e-10
 #: default relative singularity threshold for invert()
 SINGULAR_TOL = 1e-12
-#: defaults for the numerical-range sweep
+#: grid size (even) and golden-section iterations of the numerical-range sweep
 THETA_STEPS = 720
 REFINE_ITERS = 30
 
@@ -113,26 +113,10 @@ def invert(M, tol: float = SINGULAR_TOL) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def _rotated_hermitian_part(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Stack of Re(e^{i theta} M) = (e^{i theta} M + e^{-i theta} M^H)/2."""
-    phases = np.exp(1j * thetas)
-    mh = m.conj().T
-    return 0.5 * (phases[:, None, None] * m + np.conj(phases)[:, None, None] * mh)
-
-
-def _sweep_eig_extremes(m: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) of the rotated hermitian part per theta."""
-    n = m.shape[0]
-    # keep each eigvalsh batch under ~32 MB
-    chunk = max(1, (1 << 21) // max(n * n, 1))
-    mins = np.empty(len(thetas))
-    maxs = np.empty(len(thetas))
-    for start in range(0, len(thetas), chunk):
-        block = thetas[start : start + chunk]
-        w = np.linalg.eigvalsh(_rotated_hermitian_part(m, block))
-        mins[start : start + len(block)] = w[:, 0]
-        maxs[start : start + len(block)] = w[:, -1]
-    return mins, maxs
+def _rotated_eigvalsh(m: np.ndarray, mh: np.ndarray, theta: float) -> np.ndarray:
+    """Ascending eigenvalues of Re(e^{i theta} M) = (e^{i theta} M + e^{-i theta} M^H)/2."""
+    phase = np.exp(1j * theta)
+    return np.linalg.eigvalsh(0.5 * (phase * m + np.conj(phase) * mh))
 
 
 def _golden_max(fun, lo: float, hi: float, iters: int, best: float) -> float:
@@ -150,43 +134,46 @@ def _golden_max(fun, lo: float, hi: float, iters: int, best: float) -> float:
     return best
 
 
-def numerical_range_bounds(
-    M,
-    theta_steps: int = THETA_STEPS,
-    refine_iters: int = REFINE_ITERS,
-) -> tuple[float, float]:
+def numerical_range_bounds(M) -> tuple[float, float]:
     """Distance of the numerical range from the origin and numerical radius.
 
-    Sweeps theta over [0, 2 pi): the radius is the max over theta of
-    lambda_max(Re(e^{i theta} M)) and the distance is max(0, max over theta
-    of lambda_min(...)). Convexity of the numerical range makes the support
-    sweep exact up to grid resolution; a golden-section pass around the best
-    grid angle tightens both values, keeping the best seen so far.
+    Both are extremes of the support function
+    h(theta) = lambda_max(Re(e^{i theta} M)): the radius is max h and the
+    distance is max(0, -min h). Since Re(e^{i(theta + pi)} M) is
+    -Re(e^{i theta} M), one eigvalsh at theta also gives
+    h(theta + pi) = -lambda_min, so THETA_STEPS/2 solves over [0, pi) fill a
+    THETA_STEPS-point grid of the full circle, one n x n matrix at a time.
+    Convexity of the numerical range makes the sweep exact up to grid
+    resolution; a golden-section pass around the best grid angle tightens
+    each value, keeping the best seen so far.
     """
     m = as_matrix(M)
     _require_square(m)
-    if theta_steps < 8:
-        raise ValueError("theta_steps must be >= 8")
     if m.size == 0:
         return 0.0, 0.0
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, theta_steps, endpoint=False)
-    mins, maxs = _sweep_eig_extremes(m, thetas)
-    h = 2.0 * math.pi / theta_steps
+    mh = m.conj().T
+    thetas = np.linspace(0.0, 2.0 * math.pi, THETA_STEPS, endpoint=False)
+    half = THETA_STEPS // 2
+    h = np.empty(THETA_STEPS)
+    for k in range(half):
+        w = _rotated_eigvalsh(m, mh, thetas[k])
+        h[k], h[k + half] = w[-1], -w[0]
+    step = 2.0 * math.pi / THETA_STEPS
 
-    def eig_min(theta: float) -> float:
-        return float(np.linalg.eigvalsh(_rotated_hermitian_part(m, np.array([theta])))[0, 0])
+    def refine(end: int, theta: float, best: float) -> float:
+        """Golden-section maximum of eigenvalue ``end`` near ``theta``."""
+        return _golden_max(
+            lambda t: float(_rotated_eigvalsh(m, mh, t)[end]),
+            theta - step,
+            theta + step,
+            REFINE_ITERS,
+            best,
+        )
 
-    def eig_max(theta: float) -> float:
-        return float(np.linalg.eigvalsh(_rotated_hermitian_part(m, np.array([theta])))[0, -1])
-
-    i_min = int(np.argmax(mins))
-    i_max = int(np.argmax(maxs))
-    best_min = _golden_max(
-        eig_min, thetas[i_min] - h, thetas[i_min] + h, refine_iters, float(mins[i_min])
-    )
-    best_max = _golden_max(
-        eig_max, thetas[i_max] - h, thetas[i_max] + h, refine_iters, float(maxs[i_max])
-    )
-    return max(0.0, best_min), best_max
-
+    i_max = int(np.argmax(h))
+    # lambda_min(Re(e^{i theta} M)) = -h(theta + pi) peaks opposite argmin h
+    i_min = int(np.argmin(h))
+    radius = refine(-1, thetas[i_max], float(h[i_max]))
+    lower = refine(0, thetas[(i_min + half) % THETA_STEPS], float(-h[i_min]))
+    return max(0.0, lower), radius

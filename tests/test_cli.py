@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +9,11 @@ HERE = Path(__file__).parent
 FIX = HERE / "fixtures"
 GOLD = HERE / "golden"
 
-ENV = {**os.environ, "PAIRFRAME_THREADS": "1"}
-
 
 def run_cli(*args, check_exit=0):
     proc = subprocess.run(
         [sys.executable, "-m", "pairframe.cli", *args],
         capture_output=True,
-        env=ENV,
     )
     if check_exit is not None:
         assert proc.returncode == check_exit, proc.stderr.decode()
@@ -84,6 +80,14 @@ def test_dual_of_non_frame_exits_4():
 def test_dual_rejects_format_flag():
     """dual always writes a frame file, so it takes no --format."""
     proc = run_cli("dual", str(FIX / "mercedes.json"), "--format", "json", check_exit=2)
+    assert b"unrecognized arguments" in proc.stderr
+
+
+def test_pair_analyze_rejects_theta_steps_flag():
+    """The numerical-range sweep has a fixed grid, so it takes no --theta-steps."""
+    proc = run_cli(
+        "pair", "analyze", str(FIX / "swap_pair.json"), "--theta-steps", "90", check_exit=2
+    )
     assert b"unrecognized arguments" in proc.stderr
 
 
@@ -173,22 +177,3 @@ def test_json_report_is_full_precision():
     payload = json.loads(proc.stdout)
     assert payload["bounds"]["lower"] == 1.4999999999999998
     assert payload["alpha_star"] == 0.6666666666666666
-
-
-def test_thread_cap_env_var_accepted():
-    env = {**os.environ, "PAIRFRAME_THREADS": "2"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pairframe.cli", "frame", "analyze",
-         str(FIX / "mercedes.json")],
-        capture_output=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    bad = subprocess.run(
-        [sys.executable, "-m", "pairframe.cli", "frame", "analyze",
-         str(FIX / "mercedes.json")],
-        capture_output=True,
-        env={**os.environ, "PAIRFRAME_THREADS": "soup"},
-    )
-    assert bad.returncode == 0  # warns but proceeds
-    assert b"PAIRFRAME_THREADS" in bad.stderr

@@ -163,6 +163,22 @@ def test_classify_absolute_tol_override():
     assert not classify(fam, tol=1e-6).is_frame
 
 
+def test_classify_takes_at_most_two_svds(monkeypatch):
+    """One SVD gates the inverse and one measures the residual; the frame
+    operator is hermitian by construction, so none goes to checking that."""
+    fam = OperatorFamily.from_vectors(complex_noise(rng_for(64), (256, 64)))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert classify(fam).is_frame
+    assert len(calls) <= 2
+
+
 def test_canonical_dual_orthonormal_is_itself():
     fam = OperatorFamily.from_vectors(np.eye(3))
     dual = canonical_dual(fam)

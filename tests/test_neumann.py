@@ -108,13 +108,11 @@ def test_find_alpha_zero_matrix():
 def test_find_alpha_argument_validation():
     with pytest.raises(NonSquareError):
         find_alpha(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        find_alpha(np.eye(2), grid=2)
 
 
 def test_find_alpha_grid_memory_is_bounded():
-    """The non-hermitian grid scan holds one batch of normal matrices at a
-    time, not the whole grid (about 134 MB at n=32)."""
+    """The non-hermitian grid scan holds one batch of about 4 MiB of normal
+    matrices at a time, not the whole grid (about 134 MB at n=32)."""
     rng = rng_for(32)
     s = np.eye(32) + 0.02 * complex_noise(rng, (32, 32))
     tracemalloc.start()
@@ -124,7 +122,7 @@ def test_find_alpha_grid_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert not rep.is_positive_variant and rep.is_near_identity
-    assert peak < 100e6
+    assert peak < 20e6
 
 
 def test_near_identity_matches_frame_verdict_on_frame_operators():

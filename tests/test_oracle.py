@@ -23,8 +23,6 @@ def test_config_validation():
         OracleConfig(sphere_samples=0)
     with pytest.raises(ValueError):
         OracleConfig(theta_samples=0)
-    with pytest.raises(ValueError):
-        OracleConfig(tolerance=0.0)
 
 
 def test_dimension_guard():
@@ -65,16 +63,14 @@ def test_fourth_moment_extremes():
     assert hi == pytest.approx(1.0, abs=1e-6)
 
 
-def test_per_vector_objective_fallback():
-    """Objectives that only accept a single vector still work."""
+def test_objective_must_map_a_block_to_one_value_per_point():
+    """An objective that returns anything but one value per point raises."""
 
-    def single(f):
-        assert f.ndim == 1
-        return float(np.abs(f[0]) ** 2)
+    def scalar(pts):
+        return float(np.abs(pts[0, 0]) ** 2)
 
-    lo, hi = sphere_extremes(single, 2, OracleConfig(sphere_samples=4096, theta_samples=256))
-    assert lo == pytest.approx(0.0, abs=1e-6)
-    assert hi == pytest.approx(1.0, abs=1e-4)
+    with pytest.raises(ValueError, match="shape"):
+        sphere_extremes(scalar, 2, FAST)
 
 
 def test_oracle_is_deterministic():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import complex_noise, rng_for
@@ -138,6 +140,42 @@ def test_numerical_range_contains_sampled_quadratic_forms(seed, n):
     vals = np.abs(np.einsum("ij,jk,ik->i", vecs.conj(), m, vecs))
     assert vals.min() >= dist - 1e-6
     assert vals.max() <= radius + 1e-6
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_numerical_range_dominates_full_circle_grid(seed):
+    """Both constants are at least the extremes of a full-circle 720-angle
+    eigvalsh grid, and the radius stays within the operator norm."""
+    rng = rng_for(900 + seed)
+    n = int(rng.integers(2, 41))
+    a = complex_noise(rng, (n, n))
+    m = (a, a + a.conj().T, a @ a.conj().T)[seed % 3]
+    dist, radius = numerical_range_bounds(m)
+    mh = m.conj().T
+    w = np.array(
+        [
+            np.linalg.eigvalsh(0.5 * (np.exp(1j * t) * m + np.exp(-1j * t) * mh))[[0, -1]]
+            for t in np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        ]
+    )
+    norm = op_norm(m)
+    tol = 1e-12 * norm
+    assert dist >= max(0.0, w[:, 0].max()) - tol
+    assert radius >= w[:, 1].max() - tol
+    assert radius <= norm + tol
+
+
+def test_numerical_range_memory_is_one_matrix_at_a_time():
+    """The sweep holds one n x n matrix at a time, not a stack of rotations
+    (about 67 MB at n=64)."""
+    m = complex_noise(rng_for(64), (64, 64))
+    tracemalloc.start()
+    try:
+        numerical_range_bounds(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_is_hermitian():
