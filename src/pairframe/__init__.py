@@ -17,7 +17,6 @@ from .errors import (
     InvalidSpecError,
     NonSquareError,
     NotAFrameError,
-    NotHermitianError,
     PairFrameError,
     SingularMatrixError,
 )
@@ -53,9 +52,7 @@ from .pairs import (
     pq_pair_norm_bound,
 )
 from .spectral import (
-    hermitian_extremes,
     invert,
-    is_hermitian,
     min_singular,
     numerical_range_bounds,
     op_norm,
@@ -66,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PairFrameError",
     "NonSquareError",
-    "NotHermitianError",
     "EmptyMatrixError",
     "SingularMatrixError",
     "DimensionMismatchError",
@@ -103,10 +99,8 @@ __all__ = [
     "GenSpec",
     "generate",
     "generate_pair",
-    "hermitian_extremes",
     "min_singular",
     "op_norm",
     "invert",
-    "is_hermitian",
     "numerical_range_bounds",
 ]

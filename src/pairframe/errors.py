@@ -14,10 +14,6 @@ class NonSquareError(PairFrameError):
     """An operation requiring a square matrix received a rectangular one."""
 
 
-class NotHermitianError(PairFrameError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class EmptyMatrixError(PairFrameError):
     """Matrix has no entries."""
 

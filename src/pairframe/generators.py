@@ -92,7 +92,10 @@ def generate(spec: GenSpec) -> OperatorFamily:
       count-point discrete Fourier vectors, scaled to unit norm; tight with
       bound count/dim.
     - ``random_frame``: count >= dim unit rows with gaussian entries,
-      resampled until lambda_min > 0.05 lambda_max.
+      resampled until lambda_min > 0.05 lambda_max; if no draw clears that
+      in 64 attempts, the best one, provided its lambda_min/lambda_max
+      exceeds half the Marchenko-Pastur edge ratio
+      ((1 - sqrt(r))/(1 + sqrt(r)))^2, r = dim/count.
     - ``random_gframe``: gaussian d x dim members, unit Frobenius norm;
       params ``codim`` (uniform, default 2) or ``codims`` (per member).
     - ``weighted``: rows scale_i * e_i; params ``scales`` of length dim.
@@ -135,6 +138,7 @@ def _gen_random_frame(spec: GenSpec, count: int) -> OperatorFamily:
     if count < spec.dim:
         raise InvalidSpecError(f"random_frame needs count >= dim, got {count} < {spec.dim}")
     rng = _rng(spec)
+    best, best_ratio = None, 0.0
     for _ in range(_RANDOM_FRAME_ATTEMPTS):
         rows = _complex_noise(rng, (count, spec.dim))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -142,6 +146,13 @@ def _gen_random_frame(spec: GenSpec, count: int) -> OperatorFamily:
         w = np.linalg.eigvalsh(frame_operator(fam))
         if w[0] > _RANDOM_FRAME_FLOOR * w[-1]:
             return fam
+        if w[0] / w[-1] > best_ratio:
+            best, best_ratio = fam, w[0] / w[-1]
+    # large draws concentrate at the Marchenko-Pastur edge ratio, which is
+    # below the floor once the frame is less than about 2.5 times redundant
+    root = math.sqrt(spec.dim / count)
+    if best_ratio > 0.5 * ((1.0 - root) / (1.0 + root)) ** 2:
+        return best
     raise InvalidSpecError(
         f"no well-conditioned draw in {_RANDOM_FRAME_ATTEMPTS} attempts for {spec}"
     )

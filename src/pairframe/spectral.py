@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    EmptyMatrixError,
-    NonSquareError,
-    NotHermitianError,
-    SingularMatrixError,
-)
+from .errors import EmptyMatrixError, NonSquareError, SingularMatrixError
 
 #: default relative tolerance for accepting a matrix as hermitian
 HERMITIAN_TOL = 1e-10
@@ -45,30 +40,6 @@ def as_matrix(a) -> np.ndarray:
 def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-
-
-def is_hermitian(M, tol: float = HERMITIAN_TOL) -> bool:
-    """True when ``norm(M - M^H) <= tol * norm(M)`` in operator norm."""
-    m = as_matrix(M)
-    _require_square(m)
-    return op_norm(m - m.conj().T) <= tol * op_norm(m)
-
-
-def hermitian_extremes(M, tol: float = HERMITIAN_TOL) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a (near-)hermitian matrix.
-
-    The input is hermitized as (M + M^H)/2 before the eigendecomposition;
-    a deviation beyond ``tol * norm(M)`` raises ``NotHermitianError``.
-    """
-    m = as_matrix(M)
-    _require_square(m)
-    dev = op_norm(m - m.conj().T)
-    if dev > tol * op_norm(m):
-        raise NotHermitianError(
-            f"hermitian deviation {dev:.3e} exceeds tol * norm = {tol * op_norm(m):.3e}"
-        )
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return float(w[0]), float(w[-1])
 
 
 def min_singular(M) -> float:
@@ -119,39 +90,45 @@ def _rotated_eigvalsh(m: np.ndarray, mh: np.ndarray, theta: float) -> np.ndarray
     return np.linalg.eigvalsh(0.5 * (phase * m + np.conj(phase) * mh))
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int, best: float) -> float:
-    """Golden-section maximization on [lo, hi]; never worse than ``best``."""
+def _golden_max(fun, lo: float, hi: float, iters: int, best: float, at: float) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi], started from ``best`` = fun(at).
+
+    Returns the best value seen and where it was seen, so the result is
+    never worse than the start.
+    """
     a, b = lo, hi
     for _ in range(iters):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
         fc, fd = fun(c), fun(d)
-        best = max(best, fc, fd)
+        if fc > best:
+            best, at = fc, c
+        if fd > best:
+            best, at = fd, d
         if fc > fd:
             b = d
         else:
             a = c
-    return best
+    return best, at
 
 
-def numerical_range_bounds(M) -> tuple[float, float]:
-    """Distance of the numerical range from the origin and numerical radius.
+def support_extremes(M) -> tuple[float, float, float]:
+    """Extremes of the support function h(theta) = lambda_max(Re(e^{i theta} M)).
 
-    Both are extremes of the support function
-    h(theta) = lambda_max(Re(e^{i theta} M)): the radius is max h and the
-    distance is max(0, -min h). Since Re(e^{i(theta + pi)} M) is
-    -Re(e^{i theta} M), one eigvalsh at theta also gives
-    h(theta + pi) = -lambda_min, so THETA_STEPS/2 solves over [0, pi) fill a
-    THETA_STEPS-point grid of the full circle, one n x n matrix at a time.
-    Convexity of the numerical range makes the sweep exact up to grid
-    resolution; a golden-section pass around the best grid angle tightens
-    each value, keeping the best seen so far.
+    Returns (lower, angle, radius): lower = -min h is the largest
+    lambda_min(Re(e^{i theta} M)), attained at theta = angle, and
+    radius = max h. A positive lower is the distance of the numerical range
+    from the origin, which the rotation by e^{i angle} puts in the half
+    plane Re z >= lower; otherwise 0 lies in the numerical range. Since
+    Re(e^{i(theta + pi)} M) is -Re(e^{i theta} M), one eigvalsh at theta
+    also gives h(theta + pi) = -lambda_min, so THETA_STEPS/2 solves over
+    [0, pi) fill a THETA_STEPS-point grid of the full circle, one n x n
+    matrix at a time. Convexity of the numerical range makes the sweep
+    exact up to grid resolution; a golden-section pass around the best grid
+    angle tightens each value, keeping the best seen so far.
     """
     m = as_matrix(M)
     _require_square(m)
-    if m.size == 0:
-        return 0.0, 0.0
-
     mh = m.conj().T
     thetas = np.linspace(0.0, 2.0 * math.pi, THETA_STEPS, endpoint=False)
     half = THETA_STEPS // 2
@@ -161,7 +138,7 @@ def numerical_range_bounds(M) -> tuple[float, float]:
         h[k], h[k + half] = w[-1], -w[0]
     step = 2.0 * math.pi / THETA_STEPS
 
-    def refine(end: int, theta: float, best: float) -> float:
+    def refine(end: int, theta: float, best: float) -> tuple[float, float]:
         """Golden-section maximum of eigenvalue ``end`` near ``theta``."""
         return _golden_max(
             lambda t: float(_rotated_eigvalsh(m, mh, t)[end]),
@@ -169,11 +146,23 @@ def numerical_range_bounds(M) -> tuple[float, float]:
             theta + step,
             REFINE_ITERS,
             best,
+            theta,
         )
 
     i_max = int(np.argmax(h))
     # lambda_min(Re(e^{i theta} M)) = -h(theta + pi) peaks opposite argmin h
     i_min = int(np.argmin(h))
-    radius = refine(-1, thetas[i_max], float(h[i_max]))
-    lower = refine(0, thetas[(i_min + half) % THETA_STEPS], float(-h[i_min]))
+    radius, _ = refine(-1, thetas[i_max], float(h[i_max]))
+    lower, angle = refine(0, thetas[(i_min + half) % THETA_STEPS], float(-h[i_min]))
+    return lower, float(angle), radius
+
+
+def numerical_range_bounds(M) -> tuple[float, float]:
+    """Distance of the numerical range from the origin and numerical radius:
+    max(0, lower) and radius of :func:`support_extremes`."""
+    m = as_matrix(M)
+    _require_square(m)
+    if m.size == 0:
+        return 0.0, 0.0
+    lower, _, radius = support_extremes(m)
     return max(0.0, lower), radius

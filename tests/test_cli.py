@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).parent
@@ -145,6 +146,20 @@ def test_gen_same_seed_is_byte_identical():
     c = run_cli("gen", "random_frame", "--dim", "3", "--count", "5", "--seed", "12")
     assert a.stdout == b.stdout
     assert a.stdout != c.stdout
+
+
+def test_gen_random_frame_at_redundancy_two():
+    """128 gaussian rows in C^64 concentrate at a condition ratio of about
+    0.03, below the 0.05 resampling floor, and still make a frame."""
+    proc = run_cli("gen", "random_frame", "--dim", "64", "--count", "128", "--seed", "1")
+    payload = json.loads(proc.stdout)
+    rows = np.array(payload["vectors"])
+    rows = rows[..., 0] + 1j * rows[..., 1]
+    assert payload["dim"] == 64 and rows.shape == (128, 64)
+    w = np.linalg.eigvalsh(rows.conj().T @ rows)
+    r = np.sqrt(64 / 128)
+    assert 0.5 * ((1 - r) / (1 + r)) ** 2 * w[-1] < w[0] <= 0.05 * w[-1]
+    assert run_cli("gen", "random_frame", "--dim", "64", "--count", "128", "--seed", "1").stdout == proc.stdout
 
 
 def test_gen_output_is_loadable(tmp_path):

@@ -8,35 +8,12 @@ from numpy.testing import assert_allclose
 from pairframe import (
     EmptyMatrixError,
     NonSquareError,
-    NotHermitianError,
     SingularMatrixError,
-    hermitian_extremes,
     invert,
-    is_hermitian,
     min_singular,
     numerical_range_bounds,
     op_norm,
 )
-
-
-def test_hermitian_extremes_diagonal():
-    lo, hi = hermitian_extremes(np.diag([3.0, -1.0, 0.5]))
-    assert lo == -1.0 and hi == 3.0
-
-
-def test_hermitian_extremes_rejects_nonhermitian():
-    with pytest.raises(NotHermitianError):
-        hermitian_extremes(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_hermitian_extremes_tolerates_roundoff():
-    rng = rng_for(0)
-    a = complex_noise(rng, (5, 5))
-    h = a + a.conj().T
-    # a perturbation below tol * norm must be accepted
-    lo, hi = hermitian_extremes(h + 1e-14 * a)
-    w = np.linalg.eigvalsh(h)
-    assert_allclose([lo, hi], [w[0], w[-1]], atol=1e-12)
 
 
 def test_min_singular_wide_matrix_is_zero():
@@ -176,11 +153,6 @@ def test_numerical_range_memory_is_one_matrix_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-
-
-def test_is_hermitian():
-    assert is_hermitian(np.eye(2))
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_rejects_nonfinite():
