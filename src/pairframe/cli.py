@@ -19,6 +19,7 @@ carry full double precision with complex numbers as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -59,9 +60,12 @@ def _yesno(flag: bool) -> str:
 
 def _parse_alpha(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        alpha = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise FrameFileError(f"cannot parse alpha {text!r}; use 're' or 're+imi'") from None
+    if not cmath.isfinite(alpha):
+        raise FrameFileError(f"alpha must be finite, got {text!r}")
+    return alpha
 
 
 def _emit(lines) -> None:
@@ -177,6 +181,9 @@ def _signal_for(args, dim: int):
 
 
 def cmd_neumann(args) -> int:
+    if args.N < 0:
+        print(f"error: --N must be >= 0, got {args.N}", file=sys.stderr)
+        return 2
     doc = fileformat.load_document(args.path)
     system = doc.pair_system()
     s = pair_operator(system)

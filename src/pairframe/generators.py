@@ -177,7 +177,10 @@ def _gen_weighted(spec: GenSpec, count: int) -> OperatorFamily:
     scales = spec.params.get("scales")
     if scales is None or len(scales) != spec.dim or count != spec.dim:
         raise InvalidSpecError("weighted needs count == dim and params['scales'] of length dim")
-    rows = np.diag(np.asarray(scales, dtype=np.complex128))
+    scales = np.asarray(scales, dtype=np.complex128)
+    if not np.isfinite(scales).all():
+        raise InvalidSpecError("weighted scales must be finite")
+    rows = np.diag(scales)
     return OperatorFamily.from_vectors(rows, spec.dim)
 
 

@@ -24,8 +24,6 @@ PAIR_TOL = 1e-10
 
 _GRAD_TOL = 1e-9
 _MAX_ITERS = 500
-_STEP0 = 0.1
-_STEP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,12 +181,18 @@ def compose(system: PairSystem, V, W) -> PairSystem:
     return PairSystem(system.m, gamma, lam)
 
 
-def _block_norms(stacked: np.ndarray, offsets: np.ndarray, X: np.ndarray) -> tuple:
-    """Per-member norms ||L_i x|| for each column x of X; returns (Y, r)."""
+def _objective_grad(
+    stacked: np.ndarray, offsets: np.ndarray, codims: np.ndarray, p: float, X: np.ndarray
+) -> tuple:
+    """phi(x) = sum_i ||L_i x||^p and its gradient for each column x of X."""
     y = stacked @ X
-    sq = np.abs(y) ** 2
-    r = np.sqrt(np.add.reduceat(sq, offsets, axis=0))
-    return y, r
+    r = np.sqrt(np.add.reduceat(np.abs(y) ** 2, offsets, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = p * r ** (p - 2.0)
+    if p < 2.0:
+        w[r == 0.0] = 0.0
+    grad = stacked.conj().T @ (np.repeat(w, codims, axis=0) * y)
+    return (r**p).sum(axis=0), grad
 
 
 def p_bessel_bound(
@@ -199,12 +203,18 @@ def p_bessel_bound(
 ) -> float:
     """Estimate of B_p = sup over unit f of sum_i ||L_i f||^p.
 
-    Projected gradient ascent on the complex unit sphere, run from
+    Generalized power method on the complex unit sphere, run from
     ``restarts`` random starts plus the top eigenvector of the frame
-    operator (exact for p = 2). Every accepted step strictly increases the
-    objective, so the returned value is a certified lower estimate of the
-    true supremum. For p = 1 the same schedule applies subgradient steps,
-    dropping members with ||L_i f|| = 0.
+    operator (exact for p = 2). Each step maps f to g/||g||, with
+    g = sum_i p ||L_i f||^(p-2) L_i^H L_i f the gradient of
+    phi(f) = sum_i ||L_i f||^p; members with L_i f = 0 contribute nothing,
+    so p = 1 takes a subgradient. phi is convex for p >= 1, so the step
+    needs no step size and never lowers phi. A start stops once the
+    tangential part of g is at most _GRAD_TOL * ||g||, or after _MAX_ITERS
+    steps; neither the step nor the stop sees the scale of the family, so
+    B_p(cL) = |c|^p B_p(L). Every iterate is a unit vector, so the largest
+    phi seen, which is returned, is a certified lower estimate of the true
+    supremum.
     """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
@@ -221,52 +231,20 @@ def p_bessel_bound(
     _, top_vec = np.linalg.eigh(frame_operator(family))
     X = np.concatenate([top_vec[:, -1:], starts], axis=1)
     X = X / np.linalg.norm(X, axis=0)
-    R = X.shape[1]
 
-    def objective(cols: np.ndarray) -> np.ndarray:
-        _, r = _block_norms(stacked, offsets, cols)
-        return (r**p).sum(axis=0)
-
-    def objective_grad(cols: np.ndarray) -> tuple:
-        y, r = _block_norms(stacked, offsets, cols)
-        phi = (r**p).sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = p * r ** (p - 2.0)
-        if p < 2.0:
-            w[r == 0.0] = 0.0
-        grad = stacked.conj().T @ (np.repeat(w, codims, axis=0) * y)
-        return phi, grad
-
-    phi, grad = objective_grad(X)
-    active = np.ones(R, dtype=bool)
+    phi, grad = _objective_grad(stacked, offsets, codims, p, X)
+    best = phi.max()
     for _ in range(_MAX_ITERS):
-        if not active.any():
-            break
+        gnorm = np.linalg.norm(grad, axis=0)
         inner = np.real(np.sum(X.conj() * grad, axis=0))
-        tangent = grad - X * inner
-        tnorm = np.linalg.norm(tangent, axis=0)
-        active &= tnorm >= _GRAD_TOL
-        if not active.any():
+        moving = np.linalg.norm(grad - X * inner, axis=0) > _GRAD_TOL * gnorm
+        if not moving.any():
             break
-        eta = np.full(R, _STEP0)
-        trying = active.copy()
-        while trying.any():
-            idx = np.flatnonzero(trying)
-            cand = X[:, idx] + eta[idx] * tangent[:, idx]
-            cand = cand / np.linalg.norm(cand, axis=0)
-            cand_phi = objective(cand)
-            better = cand_phi > phi[idx]
-            took = idx[better]
-            X[:, took] = cand[:, better]
-            phi[took] = cand_phi[better]
-            trying[took] = False
-            halved = idx[~better]
-            eta[halved] *= 0.5
-            floored = halved[eta[halved] < _STEP_FLOOR]
-            trying[floored] = False
-            active[floored] = False
-        phi, grad = objective_grad(X)
-    return float(phi.max())
+        # convexity: phi(g/||g||) >= phi(x) + ||g|| - Re<g, x> >= phi(x)
+        X = grad[:, moving] / gnorm[moving]
+        phi, grad = _objective_grad(stacked, offsets, codims, p, X)
+        best = max(best, phi.max())
+    return float(best)
 
 
 class PqBoundReport(NamedTuple):

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from pairframe import GenSpec, OperatorFamily, PairSystem, WeightSequence, generate
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """This process's environment with ``src`` first on PYTHONPATH, so a
+    child interpreter imports the pairframe of this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def rng_for(seed: int) -> np.random.Generator:

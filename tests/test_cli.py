@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import src_env
 
 HERE = Path(__file__).parent
 FIX = HERE / "fixtures"
@@ -15,6 +16,7 @@ def run_cli(*args, check_exit=0):
     proc = subprocess.run(
         [sys.executable, "-m", "pairframe.cli", *args],
         capture_output=True,
+        env=src_env(),
     )
     if check_exit is not None:
         assert proc.returncode == check_exit, proc.stderr.decode()
@@ -129,6 +131,23 @@ def test_neumann_signal_dimension_clash_exits_3():
         )
     finally:
         (FIX / "_tmp_o3.json").unlink()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--N", "-1"), ("--alpha", "nan"), ("--alpha", "1e400")],
+    ids=["negative-N", "nan-alpha", "overflowing-alpha"],
+)
+def test_neumann_rejects_bad_arguments_with_exit_2(args):
+    proc = run_cli("neumann", str(FIX / "diag13_pair.json"), *args, check_exit=2)
+    assert b"error:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_gen_weighted_rejects_non_finite_scales_with_exit_2():
+    proc = run_cli("gen", "weighted", "--dim", "2", "--scales", "1,nan", check_exit=2)
+    assert b"error:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_gen_requires_dim():

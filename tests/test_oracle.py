@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import rng_for
+from conftest import rng_for, src_env
 
 from pairframe import DimensionTooLargeError, numerical_range_bounds
 from pairframe.oracle import OracleConfig, brute_numerical_range, sphere_extremes
@@ -14,7 +14,9 @@ FAST = OracleConfig(sphere_samples=20_000, theta_samples=1024)
 def test_package_import_leaves_scipy_unloaded():
     """Only pairframe.oracle needs scipy; the package and its CLI do not load it."""
     code = "import sys, pairframe, pairframe.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, env=src_env()
+    )
     assert proc.stdout.strip() == b"False"
 
 

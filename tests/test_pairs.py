@@ -23,6 +23,7 @@ from pairframe import (
     pair_operator,
     pq_pair_norm_bound,
 )
+from pairframe import pairs
 
 
 def test_weight_sequence_basics():
@@ -228,6 +229,33 @@ def test_p_bessel_is_lower_estimate():
                 float(np.linalg.norm(m @ f) ** p) for m in fam.members
             )
             assert val <= bound + 1e-9 * max(1.0, bound)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e4])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_p_bessel_is_scale_equivariant(p, c):
+    """B_p(cL) = c^p B_p(L): neither the step nor the stop sees the scale."""
+    for fam in (
+        generate(GenSpec("random_frame", dim=3, count=5, seed=12)),
+        generate(GenSpec("random_gframe", dim=6, count=8, seed=5)),
+    ):
+        scaled = OperatorFamily([c * m for m in fam.members], fam.ambient_dim)
+        assert p_bessel_bound(scaled, p) == pytest.approx(c**p * p_bessel_bound(fam, p), rel=1e-12)
+
+
+def test_p_bessel_evaluates_the_family_at_most_max_iters_plus_one_times(monkeypatch):
+    """One evaluation of all starts per power step, plus the first."""
+    fam = generate(GenSpec("random_gframe", dim=32, count=64, seed=0, params={"codim": 2}))
+    calls = []
+    evaluate = pairs._objective_grad
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(pairs, "_objective_grad", counting_evaluate)
+    assert p_bessel_bound(fam, 3.0) > 0.0
+    assert len(calls) <= pairs._MAX_ITERS + 1
 
 
 def test_p_bessel_rejects_bad_arguments():
