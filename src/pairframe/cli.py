@@ -68,6 +68,17 @@ def _parse_alpha(text: str) -> complex:
     return alpha
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
@@ -199,6 +210,10 @@ def cmd_neumann(args) -> int:
         alpha = near.alpha
     else:
         alpha = _parse_alpha(args.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(alpha * s).all():
+                print(f"error: alpha*S overflows for --alpha {args.alpha}", file=sys.stderr)
+                return 2
     signal = _signal_for(args, doc.dim)
     trace = neumann.neumann_trace(s, alpha, args.N)
     rel_errors = None
@@ -296,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     frame_sub = frame.add_subparsers(dest="subcommand", required=True)
     fa = frame_sub.add_parser("analyze", help="frame/Bessel classification")
     fa.add_argument("path")
-    fa.add_argument("--tol", type=float, default=None, help="absolute frame threshold")
+    fa.add_argument("--tol", type=_tolerance, default=None, help="absolute frame threshold")
     fa.add_argument("--format", choices=("text", "json"), default="text")
     fa.set_defaults(func=cmd_frame_analyze)
 
@@ -304,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair_sub = pair.add_subparsers(dest="subcommand", required=True)
     pa = pair_sub.add_parser("analyze", help="pair-frame verdict and bounds")
     pa.add_argument("path")
-    pa.add_argument("--tol", type=float, default=pairs.PAIR_TOL)
+    pa.add_argument("--tol", type=_tolerance, default=pairs.PAIR_TOL)
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=cmd_pair_analyze)
 
@@ -318,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     du = sub.add_parser("dual", help="canonical dual as a frame file")
     du.add_argument("path")
-    du.add_argument("--tol", type=float, default=None)
+    du.add_argument("--tol", type=_tolerance, default=None)
     du.set_defaults(func=cmd_dual)
 
     ge = sub.add_parser("gen", help="write a generated frame file")

@@ -3,8 +3,8 @@
 A square S admits Neumann inversion when some scalar alpha makes
 norm(I - alpha*S) < 1; then alpha * sum_{n<=N} (I - alpha*S)^n converges to
 S^-1 geometrically in N. This module finds a good alpha (closed form for
-hermitian positive definite S; otherwise a start certified by the numerical
-range, improved by cutting planes), evaluates the partial sums, and tracks
+hermitian positive definite S; otherwise centre-of-gravity cuts on the
+convex residual norm(I - alpha*S)), evaluates the partial sums, and tracks
 the decay of the approximate-identity error against the geometric bound.
 """
 
@@ -97,20 +97,18 @@ def find_alpha(S) -> NearIdentityReport:
     """Scalar alpha minimizing norm(I - alpha*S), with verdicts.
 
     Hermitian positive definite S gets the classical optimum
-    alpha = 2/(lambda_min + lambda_max) in closed form. Otherwise some alpha
-    has norm(I - alpha*S) < 1 exactly when 0 is not in the numerical range.
-    If lambda_min(Re(e^{it}S)) peaks at d > 0 for t = t*, then
-    alpha0 = (d/norm(S)^2) e^{it*} certifies
-    norm(I - alpha0*S) <= sqrt(1 - d^2/norm(S)^2), and up to ALPHA_CUTS
-    centre-of-gravity cuts improve on it: norm(I - alpha*S) is convex in
-    alpha, its minimizers lie in |alpha| <= 2/norm(S), and the top singular
-    pair at the centroid of the region still holding them gives a half
-    plane that keeps them while removing at least 4/9 of the area.
+    alpha = 2/(lambda_min + lambda_max) in closed form. Otherwise the search
+    starts from alpha = 0, where the residual is exactly 1, and makes up to
+    ALPHA_CUTS centre-of-gravity cuts: norm(I - alpha*S) is convex in alpha,
+    its minimizers lie in |alpha| <= 2/norm(S), and the top singular pair at
+    the centroid of the region still holding them gives a half plane that
+    keeps them while removing at least 4/9 of the area. Some alpha has
+    norm(I - alpha*S) < 1 exactly when 0 is not in the numerical range.
 
-    If d = 0 no scalar helps (the infimum is 1, at alpha = 0); by convention
-    the report holds the best of HOPELESS_RING points on the ring
-    |alpha| = 1/(10 norm(S)), each scored by an exact SVD, the first on a
-    tie. S = 0 yields alpha = 0 and residual 1.
+    If the best residual does not clear 1 - NEAR_IDENTITY_GUARD, the verdict
+    is no, and by convention the report holds the best of HOPELESS_RING
+    points on the ring |alpha| = 1/(10 norm(S)), each scored by an exact
+    SVD, the first on a tie. S = 0 yields alpha = 0 and residual 1.
     """
     s = spectral.as_matrix(S)
     if s.shape[0] != s.shape[1]:
@@ -136,24 +134,21 @@ def find_alpha(S) -> NearIdentityReport:
                 is_positive_variant=True,
             )
 
-    distance, angle, _ = spectral.support_extremes(s)
-    if distance > 0.0:
-        best_alpha = complex(distance / onorm**2 * np.exp(1j * angle))
-        best_res = _residual_norm(s, best_alpha)
-        eye = np.eye(s.shape[0])
-        r = 2.0 / onorm
-        poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
-        for _ in range(ALPHA_CUTS):
-            a = _centroid(poly)
-            if a is None:
-                break
-            u, sv, vh = np.linalg.svd(eye - a * s)
-            if sv[0] < best_res:
-                best_alpha, best_res = a, float(sv[0])
-            # norm(I - b*S) >= Re(u^H (I - b*S) v) = sv[0] - Re((b - a) c)
-            c = complex(u[:, 0].conj() @ s @ vh[0].conj())
-            poly = _clip(poly, a, c)
-    else:
+    best_alpha, best_res = 0j, 1.0
+    eye = np.eye(s.shape[0])
+    r = 2.0 / onorm
+    poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
+    for _ in range(ALPHA_CUTS):
+        a = _centroid(poly)
+        if a is None:
+            break
+        u, sv, vh = np.linalg.svd(eye - a * s)
+        if sv[0] < best_res:
+            best_alpha, best_res = a, float(sv[0])
+        # norm(I - b*S) >= Re(u^H (I - b*S) v) = sv[0] - Re((b - a) c)
+        c = complex(u[:, 0].conj() @ s @ vh[0].conj())
+        poly = _clip(poly, a, c)
+    if best_res >= 1.0 - NEAR_IDENTITY_GUARD:
         angles = np.linspace(0.0, 2.0 * math.pi, HOPELESS_RING, endpoint=False)
         ring = (1.0 / (10.0 * onorm)) * np.exp(1j * angles)
         residuals = [_residual_norm(s, complex(a)) for a in ring]

@@ -90,45 +90,25 @@ def _rotated_eigvalsh(m: np.ndarray, mh: np.ndarray, theta: float) -> np.ndarray
     return np.linalg.eigvalsh(0.5 * (phase * m + np.conj(phase) * mh))
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int, best: float, at: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi], started from ``best`` = fun(at).
+def numerical_range_bounds(M) -> tuple[float, float]:
+    """Distance of the numerical range from the origin and numerical radius.
 
-    Returns the best value seen and where it was seen, so the result is
-    never worse than the start.
-    """
-    a, b = lo, hi
-    for _ in range(iters):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = fun(c), fun(d)
-        if fc > best:
-            best, at = fc, c
-        if fd > best:
-            best, at = fd, d
-        if fc > fd:
-            b = d
-        else:
-            a = c
-    return best, at
-
-
-def support_extremes(M) -> tuple[float, float, float]:
-    """Extremes of the support function h(theta) = lambda_max(Re(e^{i theta} M)).
-
-    Returns (lower, angle, radius): lower = -min h is the largest
-    lambda_min(Re(e^{i theta} M)), attained at theta = angle, and
-    radius = max h. A positive lower is the distance of the numerical range
-    from the origin, which the rotation by e^{i angle} puts in the half
-    plane Re z >= lower; otherwise 0 lies in the numerical range. Since
-    Re(e^{i(theta + pi)} M) is -Re(e^{i theta} M), one eigvalsh at theta
-    also gives h(theta + pi) = -lambda_min, so THETA_STEPS/2 solves over
-    [0, pi) fill a THETA_STEPS-point grid of the full circle, one n x n
-    matrix at a time. Convexity of the numerical range makes the sweep
-    exact up to grid resolution; a golden-section pass around the best grid
-    angle tightens each value, keeping the best seen so far.
+    Both are extremes of the support function
+    h(theta) = lambda_max(Re(e^{i theta} M)): the radius is max h, and the
+    distance is max(0, lower), where lower = -min h is the largest
+    lambda_min(Re(e^{i theta} M)); a positive lower puts the numerical range
+    in a half plane at that distance from the origin, otherwise 0 lies in
+    it. Since Re(e^{i(theta + pi)} M) is -Re(e^{i theta} M), one eigvalsh at
+    theta also gives h(theta + pi) = -lambda_min, so THETA_STEPS/2 solves
+    over [0, pi) fill a THETA_STEPS-point grid of the full circle, one
+    n x n matrix at a time. Convexity of the numerical range makes the
+    sweep exact up to grid resolution; a golden-section pass around the
+    best grid angle tightens each value, keeping the best seen so far.
     """
     m = as_matrix(M)
     _require_square(m)
+    if m.size == 0:
+        return 0.0, 0.0
     mh = m.conj().T
     thetas = np.linspace(0.0, 2.0 * math.pi, THETA_STEPS, endpoint=False)
     half = THETA_STEPS // 2
@@ -138,31 +118,26 @@ def support_extremes(M) -> tuple[float, float, float]:
         h[k], h[k + half] = w[-1], -w[0]
     step = 2.0 * math.pi / THETA_STEPS
 
-    def refine(end: int, theta: float, best: float) -> tuple[float, float]:
-        """Golden-section maximum of eigenvalue ``end`` near ``theta``."""
-        return _golden_max(
-            lambda t: float(_rotated_eigvalsh(m, mh, t)[end]),
-            theta - step,
-            theta + step,
-            REFINE_ITERS,
-            best,
-            theta,
-        )
+    def refine(end: int, theta: float, best: float) -> float:
+        """Golden-section maximum of eigenvalue ``end`` on
+        [theta - step, theta + step], started from its known value ``best``
+        at theta; returns the best value seen, never worse than the start."""
+        a, b = theta - step, theta + step
+        for _ in range(REFINE_ITERS):
+            c = b - _INVPHI * (b - a)
+            d = a + _INVPHI * (b - a)
+            fc = float(_rotated_eigvalsh(m, mh, c)[end])
+            fd = float(_rotated_eigvalsh(m, mh, d)[end])
+            best = max(best, fc, fd)
+            if fc > fd:
+                b = d
+            else:
+                a = c
+        return best
 
     i_max = int(np.argmax(h))
     # lambda_min(Re(e^{i theta} M)) = -h(theta + pi) peaks opposite argmin h
     i_min = int(np.argmin(h))
-    radius, _ = refine(-1, thetas[i_max], float(h[i_max]))
-    lower, angle = refine(0, thetas[(i_min + half) % THETA_STEPS], float(-h[i_min]))
-    return lower, float(angle), radius
-
-
-def numerical_range_bounds(M) -> tuple[float, float]:
-    """Distance of the numerical range from the origin and numerical radius:
-    max(0, lower) and radius of :func:`support_extremes`."""
-    m = as_matrix(M)
-    _require_square(m)
-    if m.size == 0:
-        return 0.0, 0.0
-    lower, _, radius = support_extremes(m)
+    radius = refine(-1, thetas[i_max], float(h[i_max]))
+    lower = refine(0, thetas[(i_min + half) % THETA_STEPS], float(-h[i_min]))
     return max(0.0, lower), radius

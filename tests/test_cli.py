@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from conftest import src_env
 
+from pairframe import OperatorFamily, WeightSequence, cli, fileformat, spectral
+
 HERE = Path(__file__).parent
 FIX = HERE / "fixtures"
 GOLD = HERE / "golden"
@@ -135,13 +137,56 @@ def test_neumann_signal_dimension_clash_exits_3():
 
 @pytest.mark.parametrize(
     "args",
-    [("--N", "-1"), ("--alpha", "nan"), ("--alpha", "1e400")],
-    ids=["negative-N", "nan-alpha", "overflowing-alpha"],
+    [("--N", "-1"), ("--alpha", "nan"), ("--alpha", "1e400"), ("--alpha", "1e308")],
+    ids=["negative-N", "nan-alpha", "overflowing-alpha", "alpha-times-S-overflows"],
 )
 def test_neumann_rejects_bad_arguments_with_exit_2(args):
     proc = run_cli("neumann", str(FIX / "diag13_pair.json"), *args, check_exit=2)
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pair", "analyze", str(FIX / "swap_pair.json"), "--tol", "nan"),
+        ("frame", "analyze", str(FIX / "mercedes.json"), "--tol", "nan"),
+        ("frame", "analyze", str(FIX / "rank_deficient2.json"), "--tol", "-1"),
+        ("dual", str(FIX / "mercedes.json"), "--tol", "inf"),
+    ],
+    ids=["pair-nan", "frame-nan", "frame-negative", "dual-inf"],
+)
+def test_tol_rejects_non_finite_or_negative_with_exit_2(args):
+    """Every comparison with a NaN tolerance is false, so it would flip the
+    verdicts; a negative one breaks the frame analysis."""
+    proc = run_cli(*args, check_exit=2)
+    assert b"argument --tol" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_pair_analyze_sweeps_the_numerical_range_once(tmp_path, monkeypatch, capsys):
+    """A non-hermitian near-identity system: the report takes one
+    support-function sweep (THETA_STEPS/2 grid solves, then two
+    golden-section refinements of 2*REFINE_ITERS solves each), and
+    find_alpha adds none."""
+    basis = OperatorFamily.from_vectors(np.eye(3))
+    doc = fileformat.FrameDocument(
+        dim=3, lam=basis, lam_encoding=fileformat.vector_encoding(basis),
+        weights=WeightSequence([1.0, 0.8j, 0.5 + 0.5j]),
+    )
+    path = tmp_path / "complex_weights.json"
+    path.write_text(fileformat.serialize_document(doc))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert cli.main(["pair", "analyze", str(path)]) == 0
+    assert "near identity: yes" in capsys.readouterr().out
+    assert len(calls) == spectral.THETA_STEPS // 2 + 4 * spectral.REFINE_ITERS
 
 
 def test_gen_weighted_rejects_non_finite_scales_with_exit_2():

@@ -20,6 +20,7 @@ from pairframe import (
     op_norm,
     reconstruct,
 )
+from pairframe.neumann import ALPHA_CUTS, HOPELESS_RING
 from pairframe.oracle import brute_numerical_range
 
 
@@ -62,8 +63,8 @@ def test_find_alpha_diag13():
 
 
 def test_find_alpha_complex_scale_of_identity():
-    """A complex multiple of I needs a complex alpha; the certified start
-    and the cutting planes must drive the residual essentially to zero."""
+    """A complex multiple of I needs a complex alpha; the cutting planes,
+    started from alpha = 0, must drive the residual essentially to zero."""
     rep = find_alpha((1.0 + 1.0j) * np.eye(2))
     assert rep.is_near_identity
     assert not rep.is_positive_variant
@@ -105,9 +106,28 @@ def test_find_alpha_rotated_singular_projection():
     assert not rep.is_near_identity
 
 
+@pytest.mark.parametrize("seed", [67, 68, 69])
+def test_find_alpha_reports_the_ring_point_when_not_near_identity(seed):
+    """A unitarily rotated singular normal matrix: 0 is an eigenvalue, so no
+    scalar helps, yet the cuts can round a residual to just under 1. The
+    report is the best of HOPELESS_RING points on |alpha| = 1/(10 norm(S)),
+    not the point where the cuts stopped."""
+    q, _ = np.linalg.qr(complex_noise(rng_for(seed), (3, 3)))
+    s = q @ np.diag([1.0, 0.6 * np.exp(0.5j), 0.0]) @ q.conj().T
+    rep = find_alpha(s)
+    assert not rep.is_near_identity and not rep.is_positive_variant
+    angles = 2.0 * np.pi * np.arange(HOPELESS_RING) / HOPELESS_RING
+    ring = np.exp(1j * angles) / (10.0 * op_norm(s))
+    residuals = [op_norm(np.eye(3) - a * s) for a in ring]
+    k = int(np.argmin(residuals))
+    assert rep.alpha == pytest.approx(ring[k], rel=1e-15)
+    assert rep.residual == pytest.approx(residuals[k], rel=1e-15)
+
+
 def test_find_alpha_meets_numerical_range_certificate():
-    """With d the distance of W(S) from 0, the start alone certifies
-    norm(I - alpha*S) <= sqrt(1 - d^2/norm(S)^2); the search never does worse."""
+    """With d the distance of W(S) from 0 and t* the angle where
+    lambda_min(Re(e^{it}S)) peaks, alpha = (d/norm(S)^2) e^{it*} has
+    norm(I - alpha*S) <= sqrt(1 - d^2/norm(S)^2); the cuts reach at least that."""
     rng = rng_for(101)
     for k in range(12):
         n = 2 + k
@@ -123,9 +143,10 @@ def test_find_alpha_meets_numerical_range_certificate():
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
 def test_find_alpha_near_the_origin(eps):
-    """W(S) a hair away from 0: the certified start alone has residual
-    1 - O(eps^2), which rounds to 1 at eps = 1e-9, while the best alpha has
-    residual 1 - O(eps) and clears the verdict guard."""
+    """W(S) a hair away from 0: the numerical-range certificate
+    sqrt(1 - d^2/norm(S)^2) is 1 - O(eps^2), which rounds to 1 at
+    eps = 1e-9, while the best alpha has residual 1 - O(eps) and clears the
+    verdict guard."""
     for diag in ([eps * np.exp(0.3j), 1.0], [eps * np.exp(0.3j), np.exp(-0.2j), 0.5]):
         s = np.diag(diag)
         rep = find_alpha(s)
@@ -190,27 +211,27 @@ def test_find_alpha_verdict_matches_oracle_numerical_range():
     assert verdicts.count(True) >= 3 and verdicts.count(False) >= 2
 
 
-def test_find_alpha_takes_no_batched_eigvalsh_and_few_svds(monkeypatch):
-    """A non-hermitian n=32 search: one sweep of single-matrix eigvalsh calls
-    and at most 300 SVDs, no stacked batches."""
+def test_find_alpha_takes_no_eigvalsh_and_few_svds(monkeypatch):
+    """A non-hermitian n=32 search: no numerical-range sweep, only the norm,
+    the hermitian test and at most ALPHA_CUTS cuts, one SVD each."""
     s = np.eye(32) + 0.3 * complex_noise(rng_for(32), (32, 32)) / np.sqrt(32)
-    svds, eig_ndims = [], []
+    svds, eigs = [], []
     svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
     def counting_svd(*args, **kwargs):
         svds.append(1)
         return svd(*args, **kwargs)
 
-    def recording_eigvalsh(a, *args, **kwargs):
-        eig_ndims.append(np.ndim(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counting_eigvalsh(*args, **kwargs):
+        eigs.append(1)
+        return eigvalsh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rep = find_alpha(s)
     assert rep.is_near_identity and not rep.is_positive_variant
-    assert set(eig_ndims) == {2}
-    assert len(svds) <= 300
+    assert eigs == []
+    assert len(svds) <= 2 + ALPHA_CUTS
 
 
 def test_find_alpha_zero_matrix():
