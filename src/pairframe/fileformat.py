@@ -17,6 +17,15 @@ Parse and validation problems raise :class:`FrameFileError`; size clashes
 between declared and actual dimensions raise ``DimensionMismatchError``.
 Serialization keeps full double precision, so parse/serialize round-trips
 are lossless.
+
+Data moves as whole arrays. Reading converts each family body (or each
+operator), weight list and signal vector with one object array, a shape
+check and a type check; only a value that fails them is walked element by
+element, to name it in the error. Writing turns each family into Python
+floats with one ``tolist`` and renders each row of pairs with the C JSON
+encoder. The text written is byte for byte that of
+``compact_pairs(json.dumps(root, indent=2))`` over one [re, im] list per
+complex value.
 """
 
 from __future__ import annotations
@@ -61,6 +70,25 @@ class FrameDocument:
         return PairSystem(weights, gamma, self.lam)
 
 
+#: element types of a well-formed [re, im] pair as json.loads returns them;
+#: bool is excluded because JSON true/false load as a subclass of int
+_NUMBER_TYPES = {float, int}
+
+
+def _pairs_in(node, ndim: int) -> np.ndarray | None:
+    """Complex array of ``node`` in one pass, or None when it is not a
+    rectangular ``ndim``-deep nested list of [re, im] number pairs.
+
+    One object array, one shape check and one type check replace the
+    per-element walk; the float64 values are viewed as complex128, so every
+    bit (signed zeros included) is as written.
+    """
+    arr = np.array(node, dtype=object)
+    if arr.ndim != ndim or arr.shape[-1] != 2 or not set(map(type, arr.flat)) <= _NUMBER_TYPES:
+        return None
+    return arr.astype(np.float64).view(np.complex128)[..., 0]
+
+
 def _complex_in(node, where: str) -> complex:
     ok = (
         isinstance(node, list)
@@ -73,9 +101,26 @@ def _complex_in(node, where: str) -> complex:
 
 
 def _vector_in(node, where: str) -> np.ndarray:
+    vec = _pairs_in(node, 2)
+    if vec is not None:
+        return vec
+    # not well formed: walk the elements to name the offending one
     if not isinstance(node, list) or not node:
         raise FrameFileError(f"{where}: expected a nonempty list of complex values")
     return np.array([_complex_in(v, f"{where}[{k}]") for k, v in enumerate(node)])
+
+
+def _member_in(node, where: str) -> np.ndarray:
+    mat = _pairs_in(node, 3)
+    if mat is not None:
+        return mat
+    if not isinstance(node, list) or not node:
+        raise FrameFileError(f"{where}: expected a nonempty list of rows")
+    rows = [_vector_in(r, f"{where}[{j}]") for j, r in enumerate(node)]
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise FrameFileError(f"{where}: ragged rows with widths {sorted(widths)}")
+    return np.vstack(rows)
 
 
 def _family_in(node: dict, dim: int, where: str) -> tuple[OperatorFamily, str]:
@@ -89,17 +134,11 @@ def _family_in(node: dict, dim: int, where: str) -> tuple[OperatorFamily, str]:
     if not isinstance(body, list) or not body:
         raise FrameFileError(f"{where}.{encoding}: expected a nonempty list")
     if encoding == "vectors":
-        vectors = [_vector_in(v, f"{where}.vectors[{k}]") for k, v in enumerate(body)]
+        vectors = _pairs_in(body, 3)
+        if vectors is None:
+            vectors = [_vector_in(v, f"{where}.vectors[{k}]") for k, v in enumerate(body)]
         return OperatorFamily.from_vectors(vectors, dim), encoding
-    members = []
-    for k, mat in enumerate(body):
-        if not isinstance(mat, list) or not mat:
-            raise FrameFileError(f"{where}.operators[{k}]: expected a nonempty list of rows")
-        rows = [_vector_in(r, f"{where}.operators[{k}][{j}]") for j, r in enumerate(mat)]
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise FrameFileError(f"{where}.operators[{k}]: ragged rows with widths {sorted(widths)}")
-        members.append(np.vstack(rows))
+    members = [_member_in(m, f"{where}.operators[{k}]") for k, m in enumerate(body)]
     return OperatorFamily(members, dim), encoding
 
 
@@ -144,9 +183,11 @@ def parse_document(text: str) -> FrameDocument:
 
     weights = None
     if "weights" in root:
-        if not isinstance(root["weights"], list):
-            raise FrameFileError("weights must be a list of complex values")
-        vals = [_complex_in(w, f"weights[{k}]") for k, w in enumerate(root["weights"])]
+        vals = _pairs_in(root["weights"], 2)
+        if vals is None:
+            if not isinstance(root["weights"], list):
+                raise FrameFileError("weights must be a list of complex values")
+            vals = [_complex_in(w, f"weights[{k}]") for k, w in enumerate(root["weights"])]
         if len(vals) != lam.count:
             raise DimensionMismatchError(
                 f"{len(vals)} weights for {lam.count} members"
@@ -180,17 +221,37 @@ def compact_pairs(text: str) -> str:
     return _PAIR_RE.sub(r"[\1, \2]", text)
 
 
-def _complex_out(z: complex) -> list:
-    # + 0.0 folds IEEE negative zeros (conjugation artifacts) into plain 0.0
-    return [float(z.real) + 0.0, float(z.imag) + 0.0]
+def _pair_lists(z: np.ndarray) -> list:
+    """Nested lists of [re, im] floats for a complex array, in one pass;
+    + 0.0 folds IEEE negative zeros (conjugation artifacts) into plain 0.0."""
+    return (np.stack([z.real, z.imag], -1) + 0.0).tolist()
 
 
-def _family_out(family: OperatorFamily, encoding: str):
+def _block(items: list, level: int) -> str:
+    """A JSON list of already rendered items, laid out as
+    ``json.dumps(indent=2)`` lays out a list nested ``level`` deep."""
+    indent = "\n" + "  " * (level + 1)
+    return "[" + indent + ("," + indent).join(items) + "\n" + "  " * level + "]"
+
+
+def _pairs_text(pairs: list, level: int) -> str:
+    """A list of [re, im] pairs, one pair per line: the text of
+    ``compact_pairs(json.dumps(pairs, indent=2))``, from the C encoder."""
+    # the C encoder joins the pairs with "], ["; a line break after each comma
+    # gives the indented layout
+    body = json.dumps(pairs)[1:-1].replace("], [", "],\n" + "  " * (level + 1) + "[")
+    return _block([body], level)
+
+
+def _family_text(family: OperatorFamily, encoding: str, level: int) -> str:
     if encoding == "vectors":
         if any(d != 1 for d in family.codims):
             raise ValueError("vector encoding requires every member to be a single row")
-        return [[_complex_out(z) for z in m[0].conj()] for m in family.members]
-    return [[[_complex_out(z) for z in row] for row in m] for m in family.members]
+        rows = _pair_lists(family.stacked.conj())
+        return _block([_pairs_text(r, level + 1) for r in rows], level)
+    rows = [_pairs_text(r, level + 2) for r in _pair_lists(family.stacked)]
+    members = [_block(rows[o : o + d], level + 1) for o, d in zip(family.offsets, family.codims)]
+    return _block(members, level)
 
 
 def vector_encoding(family: OperatorFamily) -> str:
@@ -199,15 +260,24 @@ def vector_encoding(family: OperatorFamily) -> str:
 
 
 def serialize_document(doc: FrameDocument) -> str:
-    """Render a document back to frame-file text (full double precision)."""
-    root = {"format_version": FORMAT_VERSION, "dim": doc.dim}
-    root[doc.lam_encoding] = _family_out(doc.lam, doc.lam_encoding)
+    """Render a document back to frame-file text (full double precision).
+
+    The text is that of ``compact_pairs(json.dumps(root, indent=2))``: the
+    JSON layout with every [re, im] pair on one line. Each family moves to
+    Python floats in one ``tolist`` and each row of pairs goes through the
+    C encoder, so no Python code runs per number.
+    """
+    items = [
+        f'"format_version": {json.dumps(FORMAT_VERSION)}',
+        f'"dim": {json.dumps(doc.dim)}',
+        f'"{doc.lam_encoding}": {_family_text(doc.lam, doc.lam_encoding, 1)}',
+    ]
     if doc.weights is not None:
-        root["weights"] = [_complex_out(w) for w in doc.weights.values]
+        items.append(f'"weights": {_pairs_text(_pair_lists(doc.weights.as_array()), 1)}')
     if doc.gamma is not None:
         enc = doc.gamma_encoding or vector_encoding(doc.gamma)
-        root["gamma"] = {enc: _family_out(doc.gamma, enc)}
-    return compact_pairs(json.dumps(root, indent=2)) + "\n"
+        items.append(f'"gamma": {{\n    "{enc}": {_family_text(doc.gamma, enc, 2)}\n  }}')
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def parse_signal(text: str) -> np.ndarray:

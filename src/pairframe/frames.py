@@ -9,6 +9,7 @@ path below covers both pictures at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -167,6 +168,8 @@ def _classify(
     """:func:`classify` with the frame operator's inverse, which
     :func:`canonical_dual` reuses; None when the invertibility certificate
     fails."""
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     s = frame_operator(family)
     # L^H L is hermitian by construction, so no hermiticity check is needed
     w = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
@@ -202,6 +205,7 @@ def classify(family: OperatorFamily, tol: float | None = None) -> Classification
     relative threshold FRAME_TOL * lambda_max; passing an explicit ``tol``
     makes the threshold absolute. Invertibility is certified at the matching
     relative tolerance so the verdicts cannot drift apart at the boundary.
+    A negative or non-finite ``tol`` raises ``ValueError``.
     """
     return _classify(family, tol)[0]
 
@@ -211,7 +215,8 @@ def canonical_dual(family: OperatorFamily, tol: float | None = None) -> Operator
 
     synthesis(dual, analysis(family, f)) recovers f for every f, since the
     composition sums to S^-1 S. Raises ``NotAFrameError`` when the family is
-    not a frame at the given tolerance.
+    not a frame at the given tolerance, and ``ValueError`` for a negative or
+    non-finite ``tol``.
     """
     report, s_inv = _classify(family, tol)
     if not report.is_frame or s_inv is None:

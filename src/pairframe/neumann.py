@@ -97,7 +97,9 @@ def find_alpha(S) -> NearIdentityReport:
     """Scalar alpha minimizing norm(I - alpha*S), with verdicts.
 
     Hermitian positive definite S gets the classical optimum
-    alpha = 2/(lambda_min + lambda_max) in closed form. Otherwise the search
+    alpha = 2/(lambda_min + lambda_max) in closed form whenever its residual
+    clears 1 - NEAR_IDENTITY_GUARD (a singular S whose lambda_min rounds
+    above 0 does not, and goes on like any other input). Otherwise the search
     starts from alpha = 0, where the residual is exactly 1, and makes up to
     ALPHA_CUTS centre-of-gravity cuts: norm(I - alpha*S) is convex in alpha,
     its minimizers lie in |alpha| <= 2/norm(S), and the top singular pair at
@@ -127,12 +129,13 @@ def find_alpha(S) -> NearIdentityReport:
         if lmin > 0.0:
             alpha = 2.0 / (lmin + lmax)
             residual = _residual_norm(s, alpha)
-            return NearIdentityReport(
-                alpha=complex(alpha),
-                residual=residual,
-                is_near_identity=residual < 1.0 - NEAR_IDENTITY_GUARD,
-                is_positive_variant=True,
-            )
+            if residual < 1.0 - NEAR_IDENTITY_GUARD:
+                return NearIdentityReport(
+                    alpha=complex(alpha),
+                    residual=residual,
+                    is_near_identity=True,
+                    is_positive_variant=True,
+                )
 
     best_alpha, best_res = 0j, 1.0
     eye = np.eye(s.shape[0])
@@ -190,7 +193,8 @@ def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
     :func:`neumann_inverse`, so row N costs one product, not N. Each row is
     checked against the telescoped form
     I - (S^-1)_N S = (I - alpha*S)^(N+1); disagreement beyond roundoff means
-    a broken partial-sum evaluation and raises.
+    a broken partial-sum evaluation and raises. So does a row whose partial
+    sum, power of I - alpha*S or bound residual^(N+1) is not finite.
     """
     s = spectral.as_matrix(S)
     if s.shape[0] != s.shape[1]:
@@ -204,16 +208,28 @@ def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
     r_pow = np.eye(s.shape[0], dtype=np.complex128)
     acc = alpha * eye
     for n in range(N_max + 1):
-        if n:
-            acc = alpha * eye + r @ acc  # neumann_inverse(s, alpha, n)
-        r_pow = r_pow @ r  # (I - alpha*S)^(n+1)
-        defect = eye - acc @ s
+        # an overflow is reported below as an error naming its row
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n:
+                acc = alpha * eye + r @ acc  # neumann_inverse(s, alpha, n)
+            r_pow = r_pow @ r  # (I - alpha*S)^(n+1)
+            defect = eye - acc @ s
+        try:
+            bound = residual ** (n + 1)
+        except OverflowError:
+            bound = math.inf
+        finite = all(np.isfinite(m).all() for m in (acc, r_pow, defect))
+        if not finite or bound == math.inf:
+            raise PairFrameError(
+                f"Neumann table overflows at N={n}: the partial sum, (I - alpha*S)^{n + 1} "
+                "or its norm bound is not finite; use a smaller alpha or N"
+            )
         gap = spectral.op_norm(defect - r_pow)
         if gap > 1e-10 * max(1.0, spectral.op_norm(r_pow)):
             raise PairFrameError(
                 f"partial-sum telescoping identity violated at N={n}: gap {gap:.3e}"
             )
-        entries.append(TraceEntry(N=n, error=spectral.op_norm(defect), bound=residual ** (n + 1)))
+        entries.append(TraceEntry(N=n, error=spectral.op_norm(defect), bound=bound))
     return NeumannTrace(alpha=complex(alpha), residual=residual, entries=tuple(entries))
 
 

@@ -137,8 +137,22 @@ def test_neumann_signal_dimension_clash_exits_3():
 
 @pytest.mark.parametrize(
     "args",
-    [("--N", "-1"), ("--alpha", "nan"), ("--alpha", "1e400"), ("--alpha", "1e308")],
-    ids=["negative-N", "nan-alpha", "overflowing-alpha", "alpha-times-S-overflows"],
+    [
+        ("--N", "-1"),
+        ("--alpha", "nan"),
+        ("--alpha", "1e400"),
+        ("--alpha", "1e308"),
+        ("--alpha", "1e200", "--N", "2"),
+        ("--alpha", "1e307+1e307i", "--N", "1"),
+    ],
+    ids=[
+        "negative-N",
+        "nan-alpha",
+        "overflowing-alpha",
+        "alpha-times-S-overflows",
+        "power-overflows",
+        "partial-sum-overflows",
+    ],
 )
 def test_neumann_rejects_bad_arguments_with_exit_2(args):
     proc = run_cli("neumann", str(FIX / "diag13_pair.json"), *args, check_exit=2)

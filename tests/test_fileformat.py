@@ -1,11 +1,20 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_pair_system
 from numpy.testing import assert_allclose
 
-from pairframe import DimensionMismatchError, FrameFileError, OperatorFamily, pair_operator
+from pairframe import (
+    DimensionMismatchError,
+    FrameFileError,
+    GenSpec,
+    OperatorFamily,
+    WeightSequence,
+    generate,
+    pair_operator,
+)
 from pairframe.fileformat import (
     FrameDocument,
     compact_pairs,
@@ -16,6 +25,8 @@ from pairframe.fileformat import (
     serialize_document,
     vector_encoding,
 )
+
+FIX = Path(__file__).resolve().parent / "fixtures"
 
 MERCEDES_TEXT = json.dumps(
     {
@@ -95,6 +106,72 @@ def test_serialize_folds_negative_zero():
     assert "-0.0" not in serialize_document(doc)
 
 
+def reference_serialize(doc: FrameDocument) -> str:
+    """The per-number route: one [re, im] list per complex value, then
+    ``compact_pairs(json.dumps(root, indent=2))``."""
+
+    def pair(z):
+        return [float(z.real) + 0.0, float(z.imag) + 0.0]
+
+    def family(fam, encoding):
+        if encoding == "vectors":
+            return [[pair(z) for z in m[0].conj()] for m in fam.members]
+        return [[[pair(z) for z in row] for row in m] for m in fam.members]
+
+    root = {"format_version": "1", "dim": doc.dim}
+    root[doc.lam_encoding] = family(doc.lam, doc.lam_encoding)
+    if doc.weights is not None:
+        root["weights"] = [pair(w) for w in doc.weights.values]
+    if doc.gamma is not None:
+        enc = doc.gamma_encoding or vector_encoding(doc.gamma)
+        root["gamma"] = {enc: family(doc.gamma, enc)}
+    return compact_pairs(json.dumps(root, indent=2)) + "\n"
+
+
+def reference_documents() -> list:
+    """Documents with every optional part: weights, gamma in either encoding
+    or defaulted, mixed codimensions, negative zeros and extreme exponents."""
+    docs = []
+    for seed in (1, 2, 3):
+        sys = random_pair_system(seed)
+        docs.append(FrameDocument(sys.ambient_dim, sys.lam, "operators", sys.gamma, "operators", sys.m))
+    for kind, dim, count in (("random_frame", 8, 20), ("harmonic", 5, 7), ("random_gframe", 4, 6)):
+        fam = generate(GenSpec(kind, dim=dim, count=count, seed=4))
+        docs.append(FrameDocument(dim, fam, vector_encoding(fam)))
+    extreme = OperatorFamily.from_vectors([[-0.0 + 1e300j, 1e-300 - 0.0j], [complex(-0.0, -0.0), 5e-324]])
+    rows = OperatorFamily([[[1.5 - 2.0j, -1e-300 + 0.0j]], [[-0.0, 1e300]]], 2)
+    weights = WeightSequence([complex(-0.0, -0.0), -1e300 + 1e-300j])
+    docs.append(FrameDocument(2, extreme, "vectors", rows, "operators", weights))
+    docs.append(FrameDocument(2, rows, "operators", extreme, None, weights))
+    return docs
+
+
+@pytest.mark.parametrize("doc", reference_documents())
+def test_serialize_matches_the_per_number_route(doc):
+    assert serialize_document(doc) == reference_serialize(doc)
+
+
+def bits(doc: FrameDocument) -> list:
+    """Every array of a document as raw bytes, signed zeros included."""
+    out = [m.tobytes() for m in doc.lam.members]
+    if doc.gamma is not None:
+        out += [m.tobytes() for m in doc.gamma.members]
+    if doc.weights is not None:
+        out.append(doc.weights.as_array().tobytes())
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [serialize_document(doc) for doc in reference_documents()]
+    + [p.read_text(encoding="utf-8") for p in sorted(FIX.glob("*_pair.json")) + [FIX / "mercedes.json"]],
+)
+def test_parse_serialize_parse_is_bit_identical(text):
+    first = parse_document(text)
+    again = parse_document(serialize_document(first))
+    assert bits(again) == bits(first)
+
+
 def test_vector_encoding_requires_rows():
     fam = OperatorFamily([np.ones((2, 2))], 2)
     assert vector_encoding(fam) == "operators"
@@ -108,6 +185,27 @@ def test_compact_pairs_only_touches_pairs():
     out = compact_pairs(text)
     assert out.startswith("[1.0, -2e-3]")
     assert "\n  3.0" in out  # triples stay multi-line
+
+
+#: malformed [re, im] values: JSON true and null (which a plain float
+#: conversion reads as 1.0 and nan), a string, a triple, a bare number, an
+#: empty pair and a pair nested one level too deep (a ragged entry)
+BAD_VALUES = [[True, 0.0], [None, 0.0], ["1", 0.0], [1.0, 0.0, 0.0], 1.0, [], [[1.0, 0.0], [0.0, 0.0]]]
+
+
+def in_vectors(value):
+    """Mutation putting ``value`` at $.vectors[1][0]."""
+    return lambda r: r.update(vectors=[[[1.0, 0.0], [0.0, 0.0]], [value, [1.0, 0.0]]])
+
+
+def in_operators(value):
+    """Mutation putting ``value`` at $.operators[0][1][0]."""
+    return lambda r: (r.pop("vectors"), r.update(operators=[[[[1.0, 0.0], [0.0, 0.0]], [value, [1.0, 0.0]]]]))
+
+
+def in_weights(value):
+    """Mutation putting ``value`` at weights[1]."""
+    return lambda r: r.update(weights=[[1.0, 0.0], value, [1.0, 0.0]])
 
 
 @pytest.mark.parametrize(
@@ -128,6 +226,9 @@ def test_compact_pairs_only_touches_pairs():
         lambda r: r.update(gamma={"bogus": []}),
         lambda r: r.update(weights="heavy"),
         lambda r: r.update(operators=[[[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]]]),
+        *[put(bad) for bad in BAD_VALUES for put in (in_vectors, in_operators, in_weights)],
+        lambda r: r["vectors"].__setitem__(1, []),
+        lambda r: (r.pop("vectors"), r.update(operators=[[[[1.0, 0.0], [0.0, 0.0]], []]])),
     ],
 )
 def test_malformed_documents_raise_frame_file_error(mutate):
@@ -135,6 +236,18 @@ def test_malformed_documents_raise_frame_file_error(mutate):
     mutate(root)
     with pytest.raises(FrameFileError):
         parse_document(json.dumps(root))
+
+
+@pytest.mark.parametrize(
+    "put, where",
+    [(in_vectors, "$.vectors[1][0]"), (in_operators, "$.operators[0][1][0]"), (in_weights, "weights[1]")],
+)
+def test_malformed_value_is_named_in_the_error(put, where):
+    root = json.loads(MERCEDES_TEXT)
+    put([True, 0.0])(root)
+    with pytest.raises(FrameFileError) as err:
+        parse_document(json.dumps(root))
+    assert str(err.value) == f"{where}: complex values are [re, im] number pairs, got [True, 0.0]"
 
 
 def test_not_json_raises_frame_file_error():
@@ -188,3 +301,8 @@ def test_signal_validation():
         parse_signal(json.dumps({
             "format_version": "1", "dim": 3, "vector": [[1.0, 0.0]],
         }))
+    for bad in BAD_VALUES:
+        with pytest.raises(FrameFileError, match=r"vector\[1\]"):
+            parse_signal(json.dumps({
+                "format_version": "1", "dim": 2, "vector": [[1.0, 0.0], bad],
+            }))

@@ -163,6 +163,13 @@ def test_classify_absolute_tol_override():
     assert not classify(fam, tol=1e-6).is_frame
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_classify_rejects_negative_or_non_finite_tol(tol):
+    fam = OperatorFamily.from_vectors([[1.0, 0.0], [1.0, 0.0]])  # fixtures/rank_deficient2.json
+    with pytest.raises(ValueError, match="tol"):
+        classify(fam, tol=tol)
+
+
 def test_classify_takes_at_most_two_svds(monkeypatch):
     """One SVD gates the inverse and one measures the residual; the frame
     operator is hermitian by construction, so none goes to checking that."""
@@ -215,3 +222,9 @@ def test_canonical_dual_reconstruction():
 def test_canonical_dual_rejects_non_frame():
     with pytest.raises(NotAFrameError):
         canonical_dual(OperatorFamily.from_vectors([[1.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_canonical_dual_rejects_negative_or_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        canonical_dual(OperatorFamily.from_vectors(np.eye(2)), tol=tol)

@@ -10,6 +10,7 @@ from pairframe import (
     GenSpec,
     NonSquareError,
     OperatorFamily,
+    PairFrameError,
     PairSystem,
     classify,
     find_alpha,
@@ -96,32 +97,39 @@ def test_find_alpha_singular_hermitian_is_hopeless():
     assert not rep.is_near_identity
 
 
+def assert_ring_point(s: np.ndarray, rep) -> None:
+    """``rep`` is the best of HOPELESS_RING points on |alpha| = 1/(10 norm(S))."""
+    angles = 2.0 * np.pi * np.arange(HOPELESS_RING) / HOPELESS_RING
+    ring = np.exp(1j * angles) / (10.0 * op_norm(s))
+    residuals = [op_norm(np.eye(s.shape[0]) - a * s) for a in ring]
+    k = int(np.argmin(residuals))
+    assert rep.alpha == pytest.approx(ring[k], rel=1e-15)
+    assert rep.residual == pytest.approx(residuals[k], rel=1e-15)
+
+
 def test_find_alpha_rotated_singular_projection():
-    """A unitarily rotated singular projection: residuals can round to just
-    under 1, and the verdict guard must still say no."""
+    """A unitarily rotated singular projection whose lambda_min rounds above
+    0: the hermitian closed form does not clear the guard, so the report is
+    the ring point like that of any other input that is not near-identity."""
     rng = rng_for(67)
     q, _ = np.linalg.qr(complex_noise(rng, (3, 3)))
     s = q @ np.diag([1.0, 0.6, 0.0]) @ q.conj().T
+    assert np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] > 0.0
     rep = find_alpha(s)
-    assert not rep.is_near_identity
+    assert not rep.is_near_identity and not rep.is_positive_variant
+    assert_ring_point(s, rep)
 
 
 @pytest.mark.parametrize("seed", [67, 68, 69])
 def test_find_alpha_reports_the_ring_point_when_not_near_identity(seed):
     """A unitarily rotated singular normal matrix: 0 is an eigenvalue, so no
     scalar helps, yet the cuts can round a residual to just under 1. The
-    report is the best of HOPELESS_RING points on |alpha| = 1/(10 norm(S)),
-    not the point where the cuts stopped."""
+    report is the ring point, not the point where the cuts stopped."""
     q, _ = np.linalg.qr(complex_noise(rng_for(seed), (3, 3)))
     s = q @ np.diag([1.0, 0.6 * np.exp(0.5j), 0.0]) @ q.conj().T
     rep = find_alpha(s)
     assert not rep.is_near_identity and not rep.is_positive_variant
-    angles = 2.0 * np.pi * np.arange(HOPELESS_RING) / HOPELESS_RING
-    ring = np.exp(1j * angles) / (10.0 * op_norm(s))
-    residuals = [op_norm(np.eye(3) - a * s) for a in ring]
-    k = int(np.argmin(residuals))
-    assert rep.alpha == pytest.approx(ring[k], rel=1e-15)
-    assert rep.residual == pytest.approx(residuals[k], rel=1e-15)
+    assert_ring_point(s, rep)
 
 
 def test_find_alpha_meets_numerical_range_certificate():
@@ -357,6 +365,20 @@ def test_trace_telescoping_holds_for_mild_residuals():
         if rep.residual > 1.1:  # rescale into the well-conditioned regime
             alpha = alpha * 1.1 / rep.residual
         neumann_trace(s, alpha, 10)  # must not raise
+
+
+@pytest.mark.parametrize(
+    "s, alpha",
+    [
+        (np.diag([1.0, 3.0]), 1e200),  # (I - alpha*S)^2 overflows
+        (np.diag([1.0, 3.0]), 1e307 + 1e307j),  # so does the partial sum
+        (np.array([[1.0, -1e200], [0.0, 1.0]]), 1.0),  # nilpotent: only residual^2 overflows
+    ],
+    ids=["power", "partial-sum", "bound"],
+)
+def test_trace_names_the_row_that_overflows(s, alpha):
+    with pytest.raises(PairFrameError, match="overflows at N=1"):
+        neumann_trace(s, alpha, 2)
 
 
 def test_trace_argument_validation():
