@@ -20,16 +20,19 @@ are lossless.
 
 Data moves as whole arrays. Reading converts each family body (or each
 operator), weight list and signal vector with one object array, a shape
-check and a type check; only a value that fails them is walked element by
-element, to name it in the error. Writing turns each family into Python
-floats with one ``tolist`` and renders each row of pairs with the C JSON
-encoder. The text written is byte for byte that of
-``compact_pairs(json.dumps(root, indent=2))`` over one [re, im] list per
-complex value.
+check, a type check and a finiteness check; only a value that fails them is
+walked element by element, to name it in the error (``NaN`` and
+``Infinity``, which ``json.loads`` accepts, are rejected there). Writing
+turns each family into Python floats with one ``tolist`` and renders each
+row of pairs with the C JSON encoder. The text written is byte for byte
+that of ``compact_pairs(json.dumps(root, indent=2))`` over one [re, im]
+list per complex value.
 """
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import json
 import re
 from dataclasses import dataclass
@@ -77,16 +80,20 @@ _NUMBER_TYPES = {float, int}
 
 def _pairs_in(node, ndim: int) -> np.ndarray | None:
     """Complex array of ``node`` in one pass, or None when it is not a
-    rectangular ``ndim``-deep nested list of [re, im] number pairs.
+    rectangular ``ndim``-deep nested list of finite [re, im] number pairs.
 
-    One object array, one shape check and one type check replace the
+    One object array, a shape, a type and a finiteness check replace the
     per-element walk; the float64 values are viewed as complex128, so every
     bit (signed zeros included) is as written.
     """
     arr = np.array(node, dtype=object)
     if arr.ndim != ndim or arr.shape[-1] != 2 or not set(map(type, arr.flat)) <= _NUMBER_TYPES:
         return None
-    return arr.astype(np.float64).view(np.complex128)[..., 0]
+    try:
+        vals = arr.astype(np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return vals.view(np.complex128)[..., 0] if np.isfinite(vals).all() else None
 
 
 def _complex_in(node, where: str) -> complex:
@@ -97,7 +104,11 @@ def _complex_in(node, where: str) -> complex:
     )
     if not ok:
         raise FrameFileError(f"{where}: complex values are [re, im] number pairs, got {node!r}")
-    return complex(float(node[0]), float(node[1]))
+    with contextlib.suppress(OverflowError):  # an integer beyond the float range
+        value = complex(float(node[0]), float(node[1]))
+        if cmath.isfinite(value):
+            return value
+    raise FrameFileError(f"{where}: complex values must be finite, got {node!r}")
 
 
 def _vector_in(node, where: str) -> np.ndarray:

@@ -3,8 +3,8 @@
 A square S admits Neumann inversion when some scalar alpha makes
 norm(I - alpha*S) < 1; then alpha * sum_{n<=N} (I - alpha*S)^n converges to
 S^-1 geometrically in N. This module finds a good alpha (closed form for
-hermitian positive definite S; otherwise centre-of-gravity cuts on the
-convex residual norm(I - alpha*S)), evaluates the partial sums, and tracks
+hermitian S, centre-of-gravity cuts on the convex residual
+norm(I - alpha*S) for any other), evaluates the partial sums, and tracks
 the decay of the approximate-identity error against the geometric bound.
 """
 
@@ -96,15 +96,18 @@ def _centroid(poly: list) -> complex | None:
 def find_alpha(S) -> NearIdentityReport:
     """Scalar alpha minimizing norm(I - alpha*S), with verdicts.
 
-    Hermitian positive definite S gets the classical optimum
-    alpha = 2/(lambda_min + lambda_max) in closed form whenever its residual
-    clears 1 - NEAR_IDENTITY_GUARD (a singular S whose lambda_min rounds
-    above 0 does not, and goes on like any other input). Otherwise the search
-    starts from alpha = 0, where the residual is exactly 1, and makes up to
-    ALPHA_CUTS centre-of-gravity cuts: norm(I - alpha*S) is convex in alpha,
-    its minimizers lie in |alpha| <= 2/norm(S), and the top singular pair at
-    the centroid of the region still holding them gives a half plane that
-    keeps them while removing at least 4/9 of the area. Some alpha has
+    Hermitian definite S gets the classical optimum
+    alpha = 2/(lambda_min + lambda_max) in closed form, the minimum over
+    every complex alpha; any other hermitian S has 0 in its numerical range,
+    so no alpha brings the residual below 1. A hermitian S whose closed form
+    does not clear 1 - NEAR_IDENTITY_GUARD (a singular S whose lambda_min
+    rounds above 0, say) therefore goes straight to the report below. A
+    non-hermitian search starts from alpha = 0, where the residual is
+    exactly 1, and makes up to ALPHA_CUTS centre-of-gravity cuts:
+    norm(I - alpha*S) is convex in alpha, its minimizers lie in
+    |alpha| <= 2/norm(S), and the top singular pair at the centroid of the
+    region still holding them gives a half plane that keeps them while
+    removing at least 4/9 of the area. Some alpha has
     norm(I - alpha*S) < 1 exactly when 0 is not in the numerical range.
 
     If the best residual does not clear 1 - NEAR_IDENTITY_GUARD, the verdict
@@ -122,11 +125,12 @@ def find_alpha(S) -> NearIdentityReport:
         )
 
     sh = s.conj().T
+    best_alpha, best_res = 0j, 1.0
     hermitian = spectral.op_norm(s - sh) <= spectral.HERMITIAN_TOL * onorm
     if hermitian:
         w = np.linalg.eigvalsh(0.5 * (s + sh))
         lmin, lmax = float(w[0]), float(w[-1])
-        if lmin > 0.0:
+        if lmin > 0.0 or lmax < 0.0:
             alpha = 2.0 / (lmin + lmax)
             residual = _residual_norm(s, alpha)
             if residual < 1.0 - NEAR_IDENTITY_GUARD:
@@ -134,23 +138,22 @@ def find_alpha(S) -> NearIdentityReport:
                     alpha=complex(alpha),
                     residual=residual,
                     is_near_identity=True,
-                    is_positive_variant=True,
+                    is_positive_variant=alpha > 0.0,
                 )
-
-    best_alpha, best_res = 0j, 1.0
-    eye = np.eye(s.shape[0])
-    r = 2.0 / onorm
-    poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
-    for _ in range(ALPHA_CUTS):
-        a = _centroid(poly)
-        if a is None:
-            break
-        u, sv, vh = np.linalg.svd(eye - a * s)
-        if sv[0] < best_res:
-            best_alpha, best_res = a, float(sv[0])
-        # norm(I - b*S) >= Re(u^H (I - b*S) v) = sv[0] - Re((b - a) c)
-        c = complex(u[:, 0].conj() @ s @ vh[0].conj())
-        poly = _clip(poly, a, c)
+    else:
+        eye = np.eye(s.shape[0])
+        r = 2.0 / onorm
+        poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
+        for _ in range(ALPHA_CUTS):
+            a = _centroid(poly)
+            if a is None:
+                break
+            u, sv, vh = np.linalg.svd(eye - a * s)
+            if sv[0] < best_res:
+                best_alpha, best_res = a, float(sv[0])
+            # norm(I - b*S) >= Re(u^H (I - b*S) v) = sv[0] - Re((b - a) c)
+            c = complex(u[:, 0].conj() @ s @ vh[0].conj())
+            poly = _clip(poly, a, c)
     if best_res >= 1.0 - NEAR_IDENTITY_GUARD:
         angles = np.linspace(0.0, 2.0 * math.pi, HOPELESS_RING, endpoint=False)
         ring = (1.0 / (10.0 * onorm)) * np.exp(1j * angles)

@@ -24,6 +24,13 @@ PAIR_TOL = 1e-10
 
 _GRAD_TOL = 1e-9
 _MAX_ITERS = 500
+#: each power step moves along g - sigma x with this fraction of the largest
+#: shift sigma that keeps the step monotone
+_SHIFT = 0.8
+#: steps between checks for starts that have met
+_MERGE_EVERY = 8
+#: two unit iterates meet once |<x_a, x_b>| >= 1 - _MERGE_TOL
+_MERGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,27 @@ def _objective_grad(
     return (r**p).sum(axis=0), grad
 
 
+def _power_step(X: np.ndarray, phi: np.ndarray, grad: np.ndarray, merge: bool) -> np.ndarray:
+    """Next iterates d/||d|| of the starts that still move (see
+    :func:`p_bessel_bound`), from unit columns X, phi(X) and the gradients.
+
+    A start stops once its gradient is normal to the sphere up to
+    _GRAD_TOL, and, when ``merge`` is set, once it meets up to phase a start
+    of higher phi (on a tie, an earlier one).
+    """
+    gnorm = np.linalg.norm(grad, axis=0)
+    inner = np.real(np.sum(X.conj() * grad, axis=0))  # Re<g, x> = p phi(x)
+    moving = np.linalg.norm(grad - X * inner, axis=0) > _GRAD_TOL * gnorm
+    if merge:
+        k = len(phi)
+        ahead = (phi > phi[:, None]) | ((phi == phi[:, None]) & np.tri(k, k, -1, dtype=bool))
+        moving &= ~((np.abs(X.conj().T @ X) >= 1.0 - _MERGE_TOL) & ahead).any(axis=1)
+    X, grad, inner, gnorm = X[:, moving], grad[:, moving], inner[moving], gnorm[moving]
+    # monotone for any shift up to gnorm^2 / (2 inner)
+    d = grad - X * (_SHIFT * gnorm**2 / (2.0 * inner))
+    return d / np.linalg.norm(d, axis=0)
+
+
 def p_bessel_bound(
     family: OperatorFamily,
     p: float,
@@ -203,18 +231,28 @@ def p_bessel_bound(
 ) -> float:
     """Estimate of B_p = sup over unit f of sum_i ||L_i f||^p.
 
-    Generalized power method on the complex unit sphere, run from
+    Shifted generalized power method on the complex unit sphere, run from
     ``restarts`` random starts plus the top eigenvector of the frame
-    operator (exact for p = 2). Each step maps f to g/||g||, with
-    g = sum_i p ||L_i f||^(p-2) L_i^H L_i f the gradient of
-    phi(f) = sum_i ||L_i f||^p; members with L_i f = 0 contribute nothing,
-    so p = 1 takes a subgradient. phi is convex for p >= 1, so the step
-    needs no step size and never lowers phi. A start stops once the
-    tangential part of g is at most _GRAD_TOL * ||g||, or after _MAX_ITERS
-    steps; neither the step nor the stop sees the scale of the family, so
-    B_p(cL) = |c|^p B_p(L). Every iterate is a unit vector, so the largest
-    phi seen, which is returned, is a certified lower estimate of the true
-    supremum.
+    operator (exact for p = 2). Let g = sum_i p ||L_i f||^(p-2) L_i^H L_i f
+    be the gradient of phi(f) = sum_i ||L_i f||^p; members with L_i f = 0
+    contribute nothing, so p = 1 takes a subgradient. By Euler's identity
+    c = Re<g, f> = p phi(f). Each step maps f to d/||d|| with d = g - sigma f
+    and sigma = _SHIFT ||g||^2 / (2c), which goes beyond the plain step
+    g/||g|| along the same great circle. phi is convex for p >= 1, so
+    phi(y) >= phi(f) + Re<g, y - f>; at y = d/||d|| the increment
+    Re<g, d>/||d|| - c has the sign of (||g||^2 - c^2)(||g||^2 - 2 sigma c),
+    and ||g|| >= c makes it non-negative for every sigma <= ||g||^2 / (2c).
+    So no step lowers phi, and none needs a step size or a test.
+
+    Every _MERGE_EVERY steps, a moving start whose iterate has
+    |<x_a, x_b>| >= 1 - _MERGE_TOL with a start of higher phi (on a tie, an
+    earlier one) is retired: the step is phase-equivariant, so from there on
+    its path is the other start's path. A start stops once the tangential
+    part of g is at most _GRAD_TOL * ||g||, or after _MAX_ITERS steps.
+    Neither the step nor the merge nor the stop sees the scale of the
+    family, so B_p(cL) = |c|^p B_p(L). Every iterate is a unit vector, so
+    the largest phi seen, which is returned, is a certified lower estimate
+    of the true supremum.
     """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
@@ -234,14 +272,10 @@ def p_bessel_bound(
 
     phi, grad = _objective_grad(stacked, offsets, codims, p, X)
     best = phi.max()
-    for _ in range(_MAX_ITERS):
-        gnorm = np.linalg.norm(grad, axis=0)
-        inner = np.real(np.sum(X.conj() * grad, axis=0))
-        moving = np.linalg.norm(grad - X * inner, axis=0) > _GRAD_TOL * gnorm
-        if not moving.any():
+    for step in range(_MAX_ITERS):
+        X = _power_step(X, phi, grad, merge=step % _MERGE_EVERY == _MERGE_EVERY - 1)
+        if not X.shape[1]:
             break
-        # convexity: phi(g/||g||) >= phi(x) + ||g|| - Re<g, x> >= phi(x)
-        X = grad[:, moving] / gnorm[moving]
         phi, grad = _objective_grad(stacked, offsets, codims, p, X)
         best = max(best, phi.max())
     return float(best)

@@ -64,6 +64,31 @@ def test_parse_failure_exits_2():
     assert b"error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (
+            '{"format_version": "1", "dim": 2, "vectors": '
+            "[[[NaN, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}",
+            "$.vectors[0][0]",
+        ),
+        (
+            '{"format_version": "1", "dim": 2, "vectors": '
+            "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "
+            '"weights": [[Infinity, 0.0], [1.0, 0.0]]}',
+            "weights[0]",
+        ),
+    ],
+    ids=["nan-vector", "infinite-weight"],
+)
+def test_non_finite_file_exits_2(tmp_path, text, where):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("pair", "analyze", str(path), check_exit=2)
+    assert f"{where}: complex values must be finite" in proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+
+
 def test_unsupported_version_exits_2():
     run_cli("frame", "analyze", str(FIX / "badversion.json"), check_exit=2)
 

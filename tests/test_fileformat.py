@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,18 @@ def in_weights(value):
     return lambda r: r.update(weights=[[1.0, 0.0], value, [1.0, 0.0]])
 
 
+def in_gamma(value):
+    """Mutation putting ``value`` at gamma.vectors[1][0]."""
+    return lambda r: r.update(
+        gamma={"vectors": [[[1.0, 0.0], [0.0, 0.0]], [value, [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    )
+
+
+#: values json.loads accepts as numbers that are not finite doubles: NaN,
+#: Infinity, -Infinity and an integer beyond the float range
+NON_FINITE = [[float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 1.0], [10**400, 0.0]]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -248,6 +261,30 @@ def test_malformed_value_is_named_in_the_error(put, where):
     with pytest.raises(FrameFileError) as err:
         parse_document(json.dumps(root))
     assert str(err.value) == f"{where}: complex values are [re, im] number pairs, got [True, 0.0]"
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize(
+    "put, where",
+    [
+        (in_vectors, "$.vectors[1][0]"),
+        (in_operators, "$.operators[0][1][0]"),
+        (in_gamma, "gamma.vectors[1][0]"),
+        (in_weights, "weights[1]"),
+    ],
+)
+def test_non_finite_value_is_named_in_the_error(put, where, bad):
+    root = json.loads(MERCEDES_TEXT)
+    put(bad)(root)
+    with pytest.raises(FrameFileError, match=rf"^{re.escape(where)}: complex values must be finite"):
+        parse_document(json.dumps(root))
+
+
+def test_overflowing_literal_is_rejected():
+    """1e400 parses as an infinite float."""
+    text = MERCEDES_TEXT.replace("-0.5", "1e400", 1)
+    with pytest.raises(FrameFileError, match=r"^\$\.vectors\[1\]\[1\]: complex values must be finite"):
+        parse_document(text)
 
 
 def test_not_json_raises_frame_file_error():
@@ -301,7 +338,7 @@ def test_signal_validation():
         parse_signal(json.dumps({
             "format_version": "1", "dim": 3, "vector": [[1.0, 0.0]],
         }))
-    for bad in BAD_VALUES:
+    for bad in BAD_VALUES + NON_FINITE:
         with pytest.raises(FrameFileError, match=r"vector\[1\]"):
             parse_signal(json.dumps({
                 "format_version": "1", "dim": 2, "vector": [[1.0, 0.0], bad],

@@ -63,6 +63,15 @@ def test_find_alpha_diag13():
     assert rep.is_near_identity and rep.is_positive_variant
 
 
+def test_find_alpha_negative_definite_closed_form():
+    """-diag(1, 3) is definite too: the closed form 2/(lmin+lmax) = -1/2 is
+    the optimum, with residual 1/2, and it is not the positive variant."""
+    rep = find_alpha(-np.diag([1.0, 3.0]))
+    assert rep.alpha == -0.5
+    assert rep.residual == pytest.approx(0.5, rel=1e-15)
+    assert rep.is_near_identity and not rep.is_positive_variant
+
+
 def test_find_alpha_complex_scale_of_identity():
     """A complex multiple of I needs a complex alpha; the cutting planes,
     started from alpha = 0, must drive the residual essentially to zero."""
@@ -107,17 +116,46 @@ def assert_ring_point(s: np.ndarray, rep) -> None:
     assert rep.residual == pytest.approx(residuals[k], rel=1e-15)
 
 
+def rotated_singular_projection() -> np.ndarray:
+    q, _ = np.linalg.qr(complex_noise(rng_for(67), (3, 3)))
+    return q @ np.diag([1.0, 0.6, 0.0]) @ q.conj().T
+
+
 def test_find_alpha_rotated_singular_projection():
     """A unitarily rotated singular projection whose lambda_min rounds above
     0: the hermitian closed form does not clear the guard, so the report is
     the ring point like that of any other input that is not near-identity."""
-    rng = rng_for(67)
-    q, _ = np.linalg.qr(complex_noise(rng, (3, 3)))
-    s = q @ np.diag([1.0, 0.6, 0.0]) @ q.conj().T
+    s = rotated_singular_projection()
     assert np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] > 0.0
     rep = find_alpha(s)
     assert not rep.is_near_identity and not rep.is_positive_variant
     assert_ring_point(s, rep)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [rotated_singular_projection(), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, -1.0, 0.5])],
+    ids=["rotated-singular-projection", "swap", "indefinite"],
+)
+def test_find_alpha_hermitian_not_near_identity_skips_the_cuts(monkeypatch, s):
+    """For hermitian S the closed form is the optimum over every alpha, or
+    the infimum is 1, so a hermitian S whose closed form misses the guard
+    goes straight to the ring: the norm, the hermitian test, at most the
+    closed form's residual and the HOPELESS_RING ring points, one SVD each,
+    and no cut."""
+    svds = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rep = find_alpha(s)
+    monkeypatch.undo()
+    assert not rep.is_near_identity
+    assert_ring_point(s, rep)
+    assert len(svds) <= 3 + HOPELESS_RING
 
 
 @pytest.mark.parametrize("seed", [67, 68, 69])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import complex_noise, random_pair_system, rng_for, summed_pair_operator, unit_vector
 from numpy.testing import assert_allclose
 
@@ -15,6 +17,7 @@ from pairframe import (
     classify,
     classify_pair,
     compose,
+    frame_operator,
     generate,
     generate_pair,
     min_singular,
@@ -256,6 +259,123 @@ def test_p_bessel_evaluates_the_family_at_most_max_iters_plus_one_times(monkeypa
     monkeypatch.setattr(pairs, "_objective_grad", counting_evaluate)
     assert p_bessel_bound(fam, 3.0) > 0.0
     assert len(calls) <= pairs._MAX_ITERS + 1
+
+
+def _objective_args(family: OperatorFamily, p: float) -> tuple:
+    return family.stacked, np.array(family.offsets), np.array(family.codims), float(p)
+
+
+def _plain_power_bound(family: OperatorFamily, p: float, restarts: int = 32, seed: int = 0) -> float:
+    """p_bessel_bound with the plain power step x <- g/||g|| and no merging
+    (the same starts, tolerance and step budget): the reference the shifted
+    iteration must not fall below."""
+    n = family.ambient_dim
+    args = _objective_args(family, p)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    starts = rng.standard_normal((n, restarts)) + 1j * rng.standard_normal((n, restarts))
+    _, top_vec = np.linalg.eigh(frame_operator(family))
+    X = np.concatenate([top_vec[:, -1:], starts], axis=1)
+    X = X / np.linalg.norm(X, axis=0)
+    phi, grad = pairs._objective_grad(*args, X)
+    best = phi.max()
+    for _ in range(pairs._MAX_ITERS):
+        gnorm = np.linalg.norm(grad, axis=0)
+        inner = np.real(np.sum(X.conj() * grad, axis=0))
+        moving = np.linalg.norm(grad - X * inner, axis=0) > pairs._GRAD_TOL * gnorm
+        if not moving.any():
+            break
+        X = grad[:, moving] / gnorm[moving]
+        phi, grad = pairs._objective_grad(*args, X)
+        best = max(best, phi.max())
+    return float(best)
+
+
+def test_p_bessel_is_no_lower_than_the_plain_power_step():
+    """On a fixed corpus of families and exponents, the shifted, merged
+    iteration ends no lower than the plain step from the same starts."""
+    fams = [random_pair_system(2000 + k).gamma for k in range(12)]
+    fams.append(generate(GenSpec("random_gframe", dim=12, count=24, seed=3, params={"codim": 1})))
+    for k, fam in enumerate(fams):
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+            new = p_bessel_bound(fam, p, restarts=12, seed=k)
+            old = _plain_power_bound(fam, p, restarts=12, seed=k)
+            assert new >= old * (1.0 - 1e-12), (k, p, new, old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_power_step_never_lowers_phi(p, seed):
+    """No shifted step lowers any start's phi, for p in [1, 5], on random
+    families with mixed codimensions and, at times, a zero member."""
+    rng = rng_for(seed)
+    dim = int(rng.integers(2, 9))
+    members = [complex_noise(rng, (int(d), dim)) for d in rng.integers(1, 4, int(rng.integers(1, 10)))]
+    if rng.uniform() < 0.3:
+        members.append(np.zeros((1, dim)))
+    args = _objective_args(OperatorFamily(members, dim), p)
+    X = complex_noise(rng, (dim, 6))
+    X /= np.linalg.norm(X, axis=0)
+    phi, grad = pairs._objective_grad(*args, X)
+    for _ in range(20):
+        nxt = pairs._power_step(X, phi, grad, merge=False)
+        if nxt.shape[1] < X.shape[1]:
+            break  # a start has stopped: the columns no longer line up
+        phi_next, grad = pairs._objective_grad(*args, nxt)
+        assert (phi_next >= phi * (1.0 - 1e-12)).all(), (phi_next - phi) / phi
+        X, phi = nxt, phi_next
+
+
+def test_power_step_retires_a_start_duplicated_up_to_phase():
+    """Of two starts equal up to a phase, the merge keeps one, whose next
+    iterate is the other's up to phase; a third start is untouched."""
+    fam = generate(GenSpec("random_gframe", dim=6, count=8, seed=5))
+    args = _objective_args(fam, 3.0)
+    rng = rng_for(7)
+    x, y = unit_vector(rng, 6), unit_vector(rng, 6)
+    X = np.stack([x, np.exp(0.7j) * x, y], axis=1)
+    phi, grad = pairs._objective_grad(*args, X)
+    assert pairs._power_step(X, phi, grad, merge=False).shape[1] == 3
+    kept = pairs._power_step(X, phi, grad, merge=True)
+    assert kept.shape[1] == 2
+    alone = pairs._power_step(X[:, [0, 2]], phi[[0, 2]], grad[:, [0, 2]], merge=False)
+    assert abs(np.vdot(kept[:, 0], alone[:, 0])) == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(kept[:, 1], alone[:, 1], rtol=0, atol=1e-12)
+
+
+#: column evaluations of _objective_grad by the plain power step over the two
+#: n = 32 families of the test below at p = 3 and q = 1.5 (8591 + 4755 and
+#: 11168 + 10496 with one BLAS thread)
+_PLAIN_STEP_COLUMNS = 35010
+
+
+def test_p_bessel_needs_at_most_six_tenths_of_the_plain_step_evaluations(monkeypatch):
+    """Column evaluations of _objective_grad on two fixed n = 32 families at
+    p = 3 and q = 1.5: the shifted, merged iteration needs at most 0.6 of
+    the plain step's, and ends no lower."""
+    fams = [
+        generate(GenSpec("random_gframe", dim=32, count=64, seed=0, params={"codim": 2})),
+        generate(GenSpec("random_gframe", dim=32, count=64, seed=1)),
+    ]
+    columns = []
+    evaluate = pairs._objective_grad
+
+    def counting_evaluate(*args):
+        columns.append(args[-1].shape[1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(pairs, "_objective_grad", counting_evaluate)
+    plain_columns = shifted_columns = 0
+    for fam in fams:
+        for p in (3.0, 1.5):
+            plain = _plain_power_bound(fam, p)
+            plain_columns += sum(columns)
+            columns.clear()
+            assert p_bessel_bound(fam, p) >= plain * (1.0 - 1e-12)
+            shifted_columns += sum(columns)
+            columns.clear()
+    # another BLAS may round a start's stop test a step earlier or later
+    assert plain_columns == pytest.approx(_PLAIN_STEP_COLUMNS, rel=0.02)
+    assert shifted_columns <= 0.6 * _PLAIN_STEP_COLUMNS
 
 
 def test_p_bessel_rejects_bad_arguments():
