@@ -196,8 +196,7 @@ def cmd_neumann(args) -> int:
         print(f"error: --N must be >= 0, got {args.N}", file=sys.stderr)
         return 2
     doc = fileformat.load_document(args.path)
-    system = doc.pair_system()
-    s = pair_operator(system)
+    s = pair_operator(doc.pair_system())
     if args.alpha == "auto":
         near = neumann.find_alpha(s)
         if not near.is_near_identity:
@@ -210,22 +209,12 @@ def cmd_neumann(args) -> int:
         alpha = near.alpha
     else:
         alpha = _parse_alpha(args.alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(alpha * s).all():
-                print(f"error: alpha*S overflows for --alpha {args.alpha}", file=sys.stderr)
-                return 2
-    signal = _signal_for(args, doc.dim)
-    trace = neumann.neumann_trace(s, alpha, args.N)
-    rel_errors = None
-    if signal is not None:
-        rel_errors = [
-            neumann.reconstruct(system, alpha, entry.N, signal)[1] for entry in trace.entries
-        ]
+    trace, rel_errors = neumann._trace(s, alpha, args.N, _signal_for(args, doc.dim))
     if args.format == "json":
         rows = []
         for k, entry in enumerate(trace.entries):
             row = {"N": entry.N, "error": entry.error, "bound": entry.bound}
-            if rel_errors is not None:
+            if rel_errors:
                 row["rel_error"] = rel_errors[k]
             rows.append(row)
         _emit_json(
@@ -237,11 +226,11 @@ def cmd_neumann(args) -> int:
             }
         )
         return 0
-    header = ["N", "error", "bound"] + (["rel_error"] if rel_errors is not None else [])
+    header = ["N", "error", "bound"] + (["rel_error"] if rel_errors else [])
     table = [header]
     for k, entry in enumerate(trace.entries):
         row = [str(entry.N), _num(entry.error), _num(entry.bound)]
-        if rel_errors is not None:
+        if rel_errors:
             row.append(_num(rel_errors[k]))
         table.append(row)
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]
@@ -295,8 +284,11 @@ def cmd_gen(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FrameFileError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0
 
 

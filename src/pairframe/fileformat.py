@@ -182,15 +182,6 @@ def parse_document(text: str) -> FrameDocument:
         if extra:
             raise FrameFileError(f"gamma: unknown keys {sorted(extra)}")
         gamma, gamma_encoding = _family_in(root["gamma"], dim, "gamma")
-        if gamma.count != lam.count:
-            raise DimensionMismatchError(
-                f"gamma has {gamma.count} members, primary family has {lam.count}"
-            )
-        for i, (g, l) in enumerate(zip(gamma.members, lam.members)):
-            if g.shape[0] != l.shape[0]:
-                raise DimensionMismatchError(
-                    f"member {i}: gamma rows {g.shape[0]} != primary rows {l.shape[0]}"
-                )
 
     weights = None
     if "weights" in root:
@@ -199,13 +190,11 @@ def parse_document(text: str) -> FrameDocument:
             if not isinstance(root["weights"], list):
                 raise FrameFileError("weights must be a list of complex values")
             vals = [_complex_in(w, f"weights[{k}]") for k, w in enumerate(root["weights"])]
-        if len(vals) != lam.count:
-            raise DimensionMismatchError(
-                f"{len(vals)} weights for {lam.count} members"
-            )
+        if not len(vals):  # a weight sequence is nonempty, a family too
+            raise DimensionMismatchError(f"0 weights for {lam.count} members")
         weights = WeightSequence(vals)
 
-    return FrameDocument(
+    doc = FrameDocument(
         dim=dim,
         lam=lam,
         lam_encoding=lam_encoding,
@@ -213,6 +202,8 @@ def parse_document(text: str) -> FrameDocument:
         gamma_encoding=gamma_encoding,
         weights=weights,
     )
+    doc.pair_system()  # member counts and row counts must match: DimensionMismatchError
+    return doc
 
 
 def load_document(path) -> FrameDocument:

@@ -4,12 +4,15 @@ A square S admits Neumann inversion when some scalar alpha makes
 norm(I - alpha*S) < 1; then alpha * sum_{n<=N} (I - alpha*S)^n converges to
 S^-1 geometrically in N. This module finds a good alpha (closed form for
 hermitian S, centre-of-gravity cuts on the convex residual
-norm(I - alpha*S) for any other), evaluates the partial sums, and tracks
-the decay of the approximate-identity error against the geometric bound.
+norm(I - alpha*S) for any other) and tracks the decay of the
+approximate-identity error against the geometric bound. Every partial sum
+comes from one Horner pass over N = 0, 1, 2, ...; an alpha*S or partial sum
+that is not finite raises PairFrameError naming its N.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .errors import DimensionMismatchError, NonSquareError, PairFrameError
+from .errors import DimensionMismatchError, PairFrameError
 from .pairs import PairSystem, pair_operator
 
 #: residual must clear 1 by this margin before the near-identity verdict;
@@ -64,8 +67,13 @@ class NeumannTrace:
     entries: tuple
 
 
-def _residual_norm(s: np.ndarray, alpha: complex) -> float:
-    return spectral.op_norm(np.eye(s.shape[0]) - alpha * s)
+def _step(s: np.ndarray, alpha: complex) -> np.ndarray:
+    """I - alpha*S; an alpha*S that is not finite leaves no partial sum and raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = alpha * s
+    if not np.isfinite(scaled).all():
+        raise PairFrameError("alpha*S overflows at N=0; use a smaller alpha")
+    return np.eye(s.shape[0], dtype=np.complex128) - scaled
 
 
 def _clip(poly: list, a: complex, c: complex) -> list:
@@ -115,9 +123,7 @@ def find_alpha(S) -> NearIdentityReport:
     points on the ring |alpha| = 1/(10 norm(S)), each scored by an exact
     SVD, the first on a tie. S = 0 yields alpha = 0 and residual 1.
     """
-    s = spectral.as_matrix(S)
-    if s.shape[0] != s.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {s.shape}")
+    s = spectral._square_matrix(S)
     onorm = spectral.op_norm(s)
     if onorm == 0.0:
         return NearIdentityReport(
@@ -132,7 +138,7 @@ def find_alpha(S) -> NearIdentityReport:
         lmin, lmax = float(w[0]), float(w[-1])
         if lmin > 0.0 or lmax < 0.0:
             alpha = 2.0 / (lmin + lmax)
-            residual = _residual_norm(s, alpha)
+            residual = spectral.op_norm(_step(s, alpha))
             if residual < 1.0 - NEAR_IDENTITY_GUARD:
                 return NearIdentityReport(
                     alpha=complex(alpha),
@@ -157,7 +163,7 @@ def find_alpha(S) -> NearIdentityReport:
     if best_res >= 1.0 - NEAR_IDENTITY_GUARD:
         angles = np.linspace(0.0, 2.0 * math.pi, HOPELESS_RING, endpoint=False)
         ring = (1.0 / (10.0 * onorm)) * np.exp(1j * angles)
-        residuals = [_residual_norm(s, complex(a)) for a in ring]
+        residuals = [spectral.op_norm(_step(s, complex(a))) for a in ring]
         k = int(np.argmin(residuals))
         best_alpha, best_res = complex(ring[k]), residuals[k]
 
@@ -170,61 +176,59 @@ def find_alpha(S) -> NearIdentityReport:
     )
 
 
+def _partial_sums(r: np.ndarray, alpha: complex):
+    """Yield (S^-1)_N for N = 0, 1, 2, ... from r = I - alpha*S by the Horner
+    step acc <- alpha*I + r @ acc, one product each; a sum that is not finite
+    raises, naming its N."""
+    eye = np.eye(r.shape[0], dtype=np.complex128)
+    acc = alpha * eye
+    for n in itertools.count():
+        if not np.isfinite(acc).all():
+            raise PairFrameError(f"Neumann partial sum overflows at N={n}; use a smaller alpha or N")
+        yield acc
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = alpha * eye + r @ acc
+
+
+def _relative_error(approx: np.ndarray, f: np.ndarray) -> float:
+    """norm(approx - f) / norm(f); f = 0 reports error 0 by convention."""
+    fnorm = float(np.linalg.norm(f))
+    return float(np.linalg.norm(approx - f)) / fnorm if fnorm > 0.0 else 0.0
+
+
 def neumann_inverse(S, alpha: complex, N: int) -> np.ndarray:
     """Partial sum alpha * sum_{n=0}^{N} (I - alpha*S)^n by Horner iteration.
 
     Uses N matrix multiplications and no power table; with
-    norm(I - alpha*S) < 1 it converges to S^-1 as N grows.
+    norm(I - alpha*S) < 1 it converges to S^-1 as N grows. An overflow raises.
     """
-    s = spectral.as_matrix(S)
-    if s.shape[0] != s.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {s.shape}")
+    s = spectral._square_matrix(S)
     if N < 0:
         raise ValueError("N must be >= 0")
-    eye = np.eye(s.shape[0], dtype=np.complex128)
-    r = eye - alpha * s
-    acc = alpha * eye
-    for _ in range(N):
-        acc = alpha * eye + r @ acc
-    return acc
+    return next(itertools.islice(_partial_sums(_step(s, alpha), alpha), N, None))
 
 
-def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
-    """Decay table of norm(I - (S^-1)_N S) for N = 0..N_max.
-
-    The partial sums are carried from row to row by the Horner step of
-    :func:`neumann_inverse`, so row N costs one product, not N. Each row is
-    checked against the telescoped form
-    I - (S^-1)_N S = (I - alpha*S)^(N+1); disagreement beyond roundoff means
-    a broken partial-sum evaluation and raises. So does a row whose partial
-    sum, power of I - alpha*S or bound residual^(N+1) is not finite.
-    """
-    s = spectral.as_matrix(S)
-    if s.shape[0] != s.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {s.shape}")
-    if N_max < 0:
-        raise ValueError("N_max must be >= 0")
-    eye = np.eye(s.shape[0], dtype=np.complex128)
-    r = eye - alpha * s
+def _trace(s: np.ndarray, alpha: complex, N_max: int, f=None) -> tuple[NeumannTrace, list]:
+    """:func:`neumann_trace` of a square matrix and, given a signal f, the
+    relative error of (S^-1)_N S f at each row, all from one pass."""
+    r = _step(s, alpha)
     residual = spectral.op_norm(r)
-    entries = []
-    r_pow = np.eye(s.shape[0], dtype=np.complex128)
-    acc = alpha * eye
-    for n in range(N_max + 1):
+    eye = np.eye(s.shape[0], dtype=np.complex128)
+    r_pow = eye
+    sf = None if f is None else s @ f
+    entries, rel_errors = [], []
+    for n, acc in enumerate(itertools.islice(_partial_sums(r, alpha), N_max + 1)):
         # an overflow is reported below as an error naming its row
         with np.errstate(over="ignore", invalid="ignore"):
-            if n:
-                acc = alpha * eye + r @ acc  # neumann_inverse(s, alpha, n)
             r_pow = r_pow @ r  # (I - alpha*S)^(n+1)
             defect = eye - acc @ s
         try:
             bound = residual ** (n + 1)
         except OverflowError:
             bound = math.inf
-        finite = all(np.isfinite(m).all() for m in (acc, r_pow, defect))
-        if not finite or bound == math.inf:
+        if not (np.isfinite(r_pow).all() and np.isfinite(defect).all()) or bound == math.inf:
             raise PairFrameError(
-                f"Neumann table overflows at N={n}: the partial sum, (I - alpha*S)^{n + 1} "
+                f"Neumann table overflows at N={n}: (I - alpha*S)^{n + 1}, the defect "
                 "or its norm bound is not finite; use a smaller alpha or N"
             )
         gap = spectral.op_norm(defect - r_pow)
@@ -233,7 +237,24 @@ def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
                 f"partial-sum telescoping identity violated at N={n}: gap {gap:.3e}"
             )
         entries.append(TraceEntry(N=n, error=spectral.op_norm(defect), bound=bound))
-    return NeumannTrace(alpha=complex(alpha), residual=residual, entries=tuple(entries))
+        if f is not None:
+            rel_errors.append(_relative_error(acc @ sf, f))
+    return NeumannTrace(alpha=complex(alpha), residual=residual, entries=tuple(entries)), rel_errors
+
+
+def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
+    """Decay table of norm(I - (S^-1)_N S) for N = 0..N_max.
+
+    All rows come from one Horner pass, so row N costs one product, not N.
+    Each row is checked against the telescoped form
+    I - (S^-1)_N S = (I - alpha*S)^(N+1); disagreement beyond roundoff means
+    a broken partial-sum evaluation and raises. So does a row with a term
+    (partial sum, power, defect or bound residual^(N+1)) that is not finite.
+    """
+    s = spectral._square_matrix(S)
+    if N_max < 0:
+        raise ValueError("N_max must be >= 0")
+    return _trace(s, alpha, N_max)[0]
 
 
 def reconstruct(system: PairSystem, alpha: complex, N: int, f) -> tuple[np.ndarray, float]:
@@ -250,6 +271,4 @@ def reconstruct(system: PairSystem, alpha: complex, N: int, f) -> tuple[np.ndarr
         )
     s = pair_operator(system)
     approx = neumann_inverse(s, alpha, N) @ (s @ f)
-    fnorm = float(np.linalg.norm(f))
-    rel = float(np.linalg.norm(approx - f)) / fnorm if fnorm > 0.0 else 0.0
-    return approx, rel
+    return approx, _relative_error(approx, f)

@@ -37,9 +37,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray) -> None:
+def _square_matrix(a) -> np.ndarray:
+    """:func:`as_matrix`, then reject a matrix that is not square."""
+    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+    return m
 
 
 def min_singular(M) -> float:
@@ -72,8 +75,7 @@ def invert(M, tol: float = SINGULAR_TOL) -> np.ndarray:
     the condition number exceeds 1/tol. For inputs passing that gate the
     residual ||M M^-1 - I|| is on the order of cond(M) * machine epsilon.
     """
-    m = as_matrix(M)
-    _require_square(m)
+    m = _square_matrix(M)
     if m.size == 0:
         raise EmptyMatrixError("matrix has no entries")
     svals = np.linalg.svd(m, compute_uv=False)
@@ -105,8 +107,7 @@ def numerical_range_bounds(M) -> tuple[float, float]:
     sweep exact up to grid resolution; a golden-section pass around the
     best grid angle tightens each value, keeping the best seen so far.
     """
-    m = as_matrix(M)
-    _require_square(m)
+    m = _square_matrix(M)
     if m.size == 0:
         return 0.0, 0.0
     mh = m.conj().T

@@ -5,6 +5,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+# One BLAS thread, set before numpy loads: under CPU contention a threaded
+# BLAS slows the suite several-fold. Child CLI interpreters inherit these
+# through src_env().
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from pairframe import GenSpec, OperatorFamily, PairSystem, WeightSequence, generate

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import src_env
+from conftest import complex_noise, rng_for, src_env
 
-from pairframe import OperatorFamily, WeightSequence, cli, fileformat, spectral
+from pairframe import OperatorFamily, WeightSequence, cli, fileformat, neumann, spectral
 
 HERE = Path(__file__).parent
 FIX = HERE / "fixtures"
@@ -160,6 +160,57 @@ def test_neumann_signal_dimension_clash_exits_3():
         (FIX / "_tmp_o3.json").unlink()
 
 
+def _neumann_signal_rows(tmp_path, monkeypatch, capsys, f, N):
+    """Rows of ``neumann --signal`` run in process on a non-hermitian
+    near-identity system, S = e^{0.4i}(I + 0.075 G) on C^16, with the loaded
+    system, signal and pair_operator calls of the command."""
+    rng = rng_for(123)
+    basis = OperatorFamily.from_vectors(np.eye(16))
+    rows = np.eye(16) + 0.3 * complex_noise(rng, (16, 16)) / 4.0
+    lam = OperatorFamily.from_vectors(rows.conj())
+    doc = fileformat.FrameDocument(
+        dim=16, lam=lam, lam_encoding="vectors", gamma=basis, gamma_encoding="vectors",
+        weights=WeightSequence([np.exp(0.4j)] * 16),
+    )
+    path, sig = tmp_path / "near_identity.json", tmp_path / "signal.json"
+    path.write_text(fileformat.serialize_document(doc), encoding="utf-8")
+    signal = {"format_version": "1", "dim": 16, "vector": [[z.real, z.imag] for z in f]}
+    sig.write_text(json.dumps(signal), encoding="utf-8")
+    calls = []
+    pair_operator = neumann.pair_operator
+
+    def counting_pair_operator(system):
+        calls.append(1)
+        return pair_operator(system)
+
+    monkeypatch.setattr(cli, "pair_operator", counting_pair_operator)
+    monkeypatch.setattr(neumann, "pair_operator", counting_pair_operator)
+    argv = ["neumann", str(path), "--N", str(N), "--signal", str(sig), "--format", "json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
+    return payload, fileformat.load_document(path).pair_system(), fileformat.load_signal(sig), calls
+
+
+def test_neumann_signal_rows_equal_reconstruct_from_one_operator(tmp_path, monkeypatch, capsys):
+    """Every rel_error is reconstruct's, bit for bit, and the whole command
+    builds S once (one reconstruct per row would build it N + 2 times)."""
+    f = complex_noise(rng_for(124), 16)
+    payload, system, signal, calls = _neumann_signal_rows(tmp_path, monkeypatch, capsys, f, 30)
+    assert len(calls) == 1
+    alpha = neumann.find_alpha(neumann.pair_operator(system)).alpha
+    assert complex(*payload["alpha"]) == alpha
+    assert [row["N"] for row in payload["rows"]] == list(range(31))
+    for row in payload["rows"]:
+        assert row["rel_error"] == neumann.reconstruct(system, alpha, row["N"], signal)[1]
+        assert row["rel_error"] <= row["error"] + 1e-15  # the defect bounds it
+
+
+def test_neumann_zero_signal_rows_report_zero_error(tmp_path, monkeypatch, capsys):
+    payload, *_ = _neumann_signal_rows(tmp_path, monkeypatch, capsys, np.zeros(16, complex), 5)
+    assert [row["rel_error"] for row in payload["rows"]] == [0.0] * 6
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -232,6 +283,13 @@ def test_gen_weighted_rejects_non_finite_scales_with_exit_2():
     proc = run_cli("gen", "weighted", "--dim", "2", "--scales", "1,nan", check_exit=2)
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_gen_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert cli.main(["gen", "orthonormal", "--dim", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_gen_requires_dim():

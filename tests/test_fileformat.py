@@ -300,6 +300,9 @@ def test_not_json_raises_frame_file_error():
         lambda r: r.update(dim=3),  # vectors are length 2
         lambda r: r.update(weights=[[1.0, 0.0]]),  # 1 weight for 3 members
         lambda r: r.update(gamma={"vectors": [[[1.0, 0.0], [0.0, 0.0]]]}),  # count clash
+        lambda r: r.update(weights=[]),  # 0 weights for 3 members
+        # row clash: 2-row gamma members against 1-row primary members
+        lambda r: r.update(gamma={"operators": [[[[1.0, 0.0], [0.0, 0.0]]] * 2] * 3}),
     ],
 )
 def test_size_clashes_raise_dimension_mismatch(mutate):

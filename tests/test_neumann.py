@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,22 @@ def test_trace_telescoping_holds_for_mild_residuals():
 def test_trace_names_the_row_that_overflows(s, alpha):
     with pytest.raises(PairFrameError, match="overflows at N=1"):
         neumann_trace(s, alpha, 2)
+
+
+def test_overflowing_alpha_raises_in_the_library():
+    """An overflow raises PairFrameError naming N, with no NaN result, no
+    floating-point warning and no ValueError from the norm of a non-finite
+    matrix."""
+    s = np.diag([1.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PairFrameError, match="overflows at N=1"):
+            neumann_inverse(s, 1e200, 2)
+        with pytest.raises(PairFrameError, match="overflows at N=1"):
+            reconstruct(diag13_system(), 1e200, 2, np.ones(2))
+        for call in (neumann_inverse, neumann_trace):
+            with pytest.raises(PairFrameError, match="alpha\\*S overflows at N=0"):
+                call(s, 1e308, 2)
 
 
 def test_trace_argument_validation():
