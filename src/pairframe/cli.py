@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import fileformat, generators, neumann, pairs
+from . import fileformat, generators, neumann, pairs, spectral
 from .errors import (
     DimensionMismatchError,
     FrameFileError,
@@ -74,9 +74,10 @@ def _tolerance(text: str) -> float:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= tol < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return tol
+    try:
+        return spectral._check_tol(tol)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}") from None
 
 
 def _emit(lines) -> None:
@@ -196,6 +197,7 @@ def cmd_neumann(args) -> int:
         print(f"error: --N must be >= 0, got {args.N}", file=sys.stderr)
         return 2
     doc = fileformat.load_document(args.path)
+    signal = _signal_for(args, doc.dim)
     s = pair_operator(doc.pair_system())
     if args.alpha == "auto":
         near = neumann.find_alpha(s)
@@ -209,14 +211,11 @@ def cmd_neumann(args) -> int:
         alpha = near.alpha
     else:
         alpha = _parse_alpha(args.alpha)
-    trace, rel_errors = neumann._trace(s, alpha, args.N, _signal_for(args, doc.dim))
+    trace, rel_errors = neumann._trace(s, alpha, args.N, signal)
+    rows = [entry._asdict() for entry in trace.entries]
+    for row, rel_error in zip(rows, rel_errors):
+        row["rel_error"] = rel_error
     if args.format == "json":
-        rows = []
-        for k, entry in enumerate(trace.entries):
-            row = {"N": entry.N, "error": entry.error, "bound": entry.bound}
-            if rel_errors:
-                row["rel_error"] = rel_errors[k]
-            rows.append(row)
         _emit_json(
             {
                 "command": "neumann",
@@ -226,13 +225,10 @@ def cmd_neumann(args) -> int:
             }
         )
         return 0
-    header = ["N", "error", "bound"] + (["rel_error"] if rel_errors else [])
+    header = list(rows[0])
     table = [header]
-    for k, entry in enumerate(trace.entries):
-        row = [str(entry.N), _num(entry.error), _num(entry.bound)]
-        if rel_errors:
-            row.append(_num(rel_errors[k]))
-        table.append(row)
+    for row in rows:
+        table.append([str(row["N"])] + [_num(row[key]) for key in header[1:]])
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]
     lines = [
         f"alpha: {_cplx(trace.alpha)}",

@@ -9,8 +9,8 @@ path below covers both pictures at once.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -25,10 +25,12 @@ FRAME_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
-    """Ordered family of operators C^n -> C^{d_i} with a shared domain."""
+    """Ordered family of operators C^n -> C^{d_i} with a shared domain, held
+    once as the read-only D x n array ``stacked``; ``members`` are row views."""
 
     ambient_dim: int
     members: tuple
+    stacked: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, members: Sequence, ambient_dim: int | None = None):
         mats = []
@@ -36,8 +38,6 @@ class OperatorFamily:
             m = spectral.as_matrix(raw)
             if m.shape[0] < 1:
                 raise ValueError(f"member {k} has no rows")
-            m = m.copy()
-            m.flags.writeable = False
             mats.append(m)
         if not mats:
             raise ValueError("family needs at least one member")
@@ -49,8 +49,13 @@ class OperatorFamily:
                 raise DimensionMismatchError(
                     f"member {k} has {m.shape[1]} columns, ambient dimension is {n}"
                 )
+        stacked = np.vstack(mats)
+        stacked.flags.writeable = False
         object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "members", tuple(mats))
+        object.__setattr__(self, "stacked", stacked)
+        starts = itertools.accumulate((len(m) for m in mats), initial=0)
+        members = tuple(stacked[s : s + len(m)] for s, m in zip(starts, mats))
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "OperatorFamily":
@@ -75,19 +80,11 @@ class OperatorFamily:
     @cached_property
     def offsets(self) -> tuple:
         """Start index of each member's block in the stacked coefficient space."""
-        starts = np.concatenate([[0], np.cumsum(self.codims)[:-1]])
-        return tuple(int(s) for s in starts)
+        return tuple(itertools.accumulate(self.codims[:-1], initial=0))
 
     @property
     def total_codim(self) -> int:
         return sum(self.codims)
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """Vertical D x n stack of the members, D = sum of the d_i."""
-        s = np.vstack(self.members)
-        s.flags.writeable = False
-        return s
 
     def split_blocks(self, h) -> list:
         """Cut a stacked coefficient vector back into per-member blocks."""
@@ -158,7 +155,8 @@ def _relative_tol(tol: float | None, lmax: float) -> tuple[float, float]:
     if tol is None:
         return FRAME_TOL * lmax, FRAME_TOL
     if lmax > 0.0:
-        return tol, tol / lmax
+        # a ratio >= 1 fails every matrix; the cap keeps tol / lmax = inf out of invert
+        return tol, min(tol / lmax, 1.0)
     return tol, spectral.SINGULAR_TOL
 
 
@@ -168,8 +166,8 @@ def _classify(
     """:func:`classify` with the frame operator's inverse, which
     :func:`canonical_dual` reuses; None when the invertibility certificate
     fails."""
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if tol is not None:
+        spectral._check_tol(tol)
     s = frame_operator(family)
     # L^H L is hermitian by construction, so no hermiticity check is needed
     w = np.linalg.eigvalsh(0.5 * (s + s.conj().T))

@@ -138,23 +138,15 @@ def find_alpha(S) -> NearIdentityReport:
         lmin, lmax = float(w[0]), float(w[-1])
         if lmin > 0.0 or lmax < 0.0:
             alpha = 2.0 / (lmin + lmax)
-            residual = spectral.op_norm(_step(s, alpha))
-            if residual < 1.0 - NEAR_IDENTITY_GUARD:
-                return NearIdentityReport(
-                    alpha=complex(alpha),
-                    residual=residual,
-                    is_near_identity=True,
-                    is_positive_variant=alpha > 0.0,
-                )
+            best_alpha, best_res = complex(alpha), spectral.op_norm(_step(s, alpha))
     else:
-        eye = np.eye(s.shape[0])
         r = 2.0 / onorm
         poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
         for _ in range(ALPHA_CUTS):
             a = _centroid(poly)
             if a is None:
                 break
-            u, sv, vh = np.linalg.svd(eye - a * s)
+            u, sv, vh = np.linalg.svd(_step(s, a))
             if sv[0] < best_res:
                 best_alpha, best_res = a, float(sv[0])
             # norm(I - b*S) >= Re(u^H (I - b*S) v) = sv[0] - Re((b - a) c)

@@ -132,5 +132,4 @@ def brute_numerical_range(M, cfg: OracleConfig = OracleConfig()) -> tuple[float,
         points = np.atleast_2d(points)
         return np.abs(np.einsum("ki,ij,kj->k", points.conj(), m, points))
 
-    lo, hi = sphere_extremes(modulus, m.shape[0], cfg)
-    return lo, hi
+    return sphere_extremes(modulus, m.shape[0], cfg)

@@ -119,9 +119,12 @@ def adjoint_check(system: PairSystem) -> float:
     so the residual is pure floating-point noise: at most about
     1e-12 * (1 + norm(S)) for any well-formed system.
     """
-    s = pair_operator(system)
-    s_adj = pair_operator(system.adjoint_system())
-    return spectral.op_norm(s.conj().T - s_adj)
+    return _adjoint_residual(system, pair_operator(system))
+
+
+def _adjoint_residual(system: PairSystem, s: np.ndarray) -> float:
+    """norm(S^H - S_swapped) for the system's pair operator ``s``."""
+    return spectral.op_norm(s.conj().T - pair_operator(system.adjoint_system()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +154,10 @@ def classify_pair(system: PairSystem, tol: float = PAIR_TOL) -> PairReport:
 
     The verdict is min_singular(S) > tol * op_norm(S); the frame-like
     constants are the distance of the numerical range of S from the origin
-    and the numerical radius.
+    and the numerical radius. A negative or non-finite ``tol`` raises
+    ``ValueError``.
     """
+    spectral._check_tol(tol)
     s = pair_operator(system)
     svals = np.linalg.svd(s, compute_uv=False)
     onorm, smin = float(svals[0]), float(svals[-1])
@@ -166,7 +171,7 @@ def classify_pair(system: PairSystem, tol: float = PAIR_TOL) -> PairReport:
         condition_number=(onorm / smin) if invertible else None,
         framelike_lower=dist,
         framelike_upper=radius,
-        adjoint_residual=adjoint_check(system),
+        adjoint_residual=_adjoint_residual(system, s),
     )
 
 
@@ -298,11 +303,12 @@ def pq_pair_norm_bound(
 ) -> PqBoundReport:
     """Norm of S against the Hoelder bound from (p,q)-Bessel constants.
 
-    With B the p-Bessel constant of Gamma and B' the q-Bessel constant of
-    Lambda, ``holder_bound`` is sup|m_i| * B^(1/p) * B'^(1/q) — the form the
-    Cauchy-Schwarz/Hoelder chain actually yields and the one the contract
-    guarantees dominates norm(S). ``paper_bound`` is the square root of the
-    same expression, reported for comparison; it may fall below norm(S).
+    With B and B' the :func:`p_bessel_bound` estimates for Gamma (p) and
+    Lambda (q), ``holder_bound`` is sup|m_i| * B^(1/p) * B'^(1/q), the form
+    the Cauchy-Schwarz/Hoelder chain yields. It dominates norm(S) only for
+    the exact constants, and these estimates are lower ones (ROADMAP item 7).
+    ``paper_bound`` is the square root of the same expression, reported for
+    comparison; it may fall below norm(S).
     """
     p = float(p)
     q = float(q)

@@ -68,13 +68,22 @@ def op_norm(M) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def _check_tol(tol: float) -> float:
+    """``tol`` itself when it is finite and >= 0; ValueError otherwise."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def invert(M, tol: float = SINGULAR_TOL) -> np.ndarray:
     """Inverse of a square matrix.
 
     Raises ``SingularMatrixError`` when sigma_min <= tol * sigma_max, i.e.
     the condition number exceeds 1/tol. For inputs passing that gate the
     residual ||M M^-1 - I|| is on the order of cond(M) * machine epsilon.
+    A negative or non-finite ``tol`` raises ``ValueError``.
     """
+    _check_tol(tol)
     m = _square_matrix(M)
     if m.size == 0:
         raise EmptyMatrixError("matrix has no entries")

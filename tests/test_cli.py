@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import complex_noise, rng_for, src_env
 
-from pairframe import OperatorFamily, WeightSequence, cli, fileformat, neumann, spectral
+from pairframe import OperatorFamily, WeightSequence, cli, fileformat, neumann, pairs, spectral
 
 HERE = Path(__file__).parent
 FIX = HERE / "fixtures"
@@ -254,11 +254,8 @@ def test_tol_rejects_non_finite_or_negative_with_exit_2(args):
     assert b"Traceback" not in proc.stderr
 
 
-def test_pair_analyze_sweeps_the_numerical_range_once(tmp_path, monkeypatch, capsys):
-    """A non-hermitian near-identity system: the report takes one
-    support-function sweep (THETA_STEPS/2 grid solves, then two
-    golden-section refinements of 2*REFINE_ITERS solves each), and
-    find_alpha adds none."""
+def _complex_weights_file(tmp_path):
+    """A non-hermitian near-identity system: S = diag(1, 0.8i, 0.5 + 0.5i)."""
     basis = OperatorFamily.from_vectors(np.eye(3))
     doc = fileformat.FrameDocument(
         dim=3, lam=basis, lam_encoding=fileformat.vector_encoding(basis),
@@ -266,6 +263,15 @@ def test_pair_analyze_sweeps_the_numerical_range_once(tmp_path, monkeypatch, cap
     )
     path = tmp_path / "complex_weights.json"
     path.write_text(fileformat.serialize_document(doc))
+    return path
+
+
+def test_pair_analyze_sweeps_the_numerical_range_once(tmp_path, monkeypatch, capsys):
+    """A non-hermitian near-identity system: the report takes one
+    support-function sweep (THETA_STEPS/2 grid solves, then two
+    golden-section refinements of 2*REFINE_ITERS solves each), and
+    find_alpha adds none."""
+    path = _complex_weights_file(tmp_path)
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -277,6 +283,37 @@ def test_pair_analyze_sweeps_the_numerical_range_once(tmp_path, monkeypatch, cap
     assert cli.main(["pair", "analyze", str(path)]) == 0
     assert "near identity: yes" in capsys.readouterr().out
     assert len(calls) == spectral.THETA_STEPS // 2 + 4 * spectral.REFINE_ITERS
+
+
+def test_pair_analyze_builds_s_once_plus_the_adjoint_check(tmp_path, monkeypatch, capsys):
+    """classify_pair builds S once and the swapped system once; find_alpha
+    reads the report's S."""
+    path = _complex_weights_file(tmp_path)
+    calls = []
+    pair_operator = pairs.pair_operator
+
+    def counting_pair_operator(system):
+        calls.append(1)
+        return pair_operator(system)
+
+    monkeypatch.setattr(pairs, "pair_operator", counting_pair_operator)
+    monkeypatch.setattr(cli, "pair_operator", counting_pair_operator)
+    assert cli.main(["pair", "analyze", str(path)]) == 0
+    assert "near identity: yes" in capsys.readouterr().out
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("signal", [str(FIX / "missing.json"), "random:x"], ids=["missing", "bad-seed"])
+def test_neumann_reads_the_signal_before_the_alpha_search(signal, monkeypatch, capsys):
+    """A bad --signal exits 2 before find_alpha runs, even on a system that
+    is not near-identity (exit 4 once the search had run)."""
+
+    def no_search(s):
+        raise AssertionError("find_alpha ran before the signal was read")
+
+    monkeypatch.setattr(neumann, "find_alpha", no_search)
+    assert cli.main(["neumann", str(FIX / "swap_pair.json"), "--signal", signal]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_gen_weighted_rejects_non_finite_scales_with_exit_2():

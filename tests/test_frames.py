@@ -40,6 +40,19 @@ def test_members_are_immutable():
         fam.members[0][0, 0] = 5.0
 
 
+def test_members_are_read_only_views_of_one_stack():
+    rng = rng_for(5)
+    raw = [complex_noise(rng, (d, 4)) for d in (2, 1, 3)]
+    fam = OperatorFamily(raw, 4)
+    assert fam.stacked.tobytes() == np.vstack(raw).tobytes()
+    assert not fam.stacked.flags.writeable
+    assert not np.shares_memory(fam.stacked, raw[0])
+    for m, r in zip(fam.members, raw):
+        assert np.shares_memory(m, fam.stacked)
+        assert not m.flags.writeable
+        assert m.tobytes() == r.tobytes()
+
+
 def test_offsets_and_blocks():
     fam = OperatorFamily([np.ones((2, 3)), np.ones((1, 3)), np.ones((3, 3))])
     assert fam.codims == (2, 1, 3)
@@ -161,6 +174,13 @@ def test_classify_absolute_tol_override():
     fam = OperatorFamily.from_vectors(np.diag([1.0, 1e-4]))
     assert classify(fam).is_frame  # lambda_min 1e-8 clears the relative default
     assert not classify(fam, tol=1e-6).is_frame
+
+
+def test_classify_huge_tol_on_tiny_family_fails_the_certificate():
+    """tol / lambda_max overflows to inf here; the certificate still fails
+    rather than the inversion rejecting its own threshold."""
+    rep = classify(OperatorFamily.from_vectors(1e-156 * np.eye(2)), tol=1e10)
+    assert not rep.is_frame and not rep.cert_invertible
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

@@ -92,6 +92,21 @@ def test_adjoint_residual_is_roundoff():
         assert adjoint_check(sys) <= 1e-12 * (1.0 + op_norm(s))
 
 
+def test_classify_pair_residual_is_adjoint_check():
+    for seed in range(5):
+        sys = random_pair_system(200 + seed)
+        assert classify_pair(sys).adjoint_residual == adjoint_check(sys)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_classify_pair_rejects_negative_or_non_finite_tol(tol):
+    """On a singular S a negative tol would divide by min_singular = 0, and
+    NaN or inf would report "not a pair frame" for any S."""
+    basis = generate(GenSpec("rank_deficient", dim=3))
+    with pytest.raises(ValueError, match="tol"):
+        classify_pair(PairSystem([1.0, 1.0, 1.0], basis, basis), tol=tol)
+
+
 def test_classify_pair_positive_system_matches_frame_bounds():
     """With Gamma = Lambda and positive weights, S is the weighted frame
     operator: the frame-like constants coincide with its spectral bounds."""

@@ -71,6 +71,15 @@ def test_invert_singular_raises():
         invert(np.diag([1.0, 1e-14]))
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("m", [np.diag([1.0, 0.0]), np.diag([1.0, 1e-300])], ids=["singular", "tiny"])
+def test_invert_rejects_negative_or_non_finite_tol(m, tol):
+    """A NaN or negative threshold passes every matrix, singular ones
+    included, and inf fails every one."""
+    with pytest.raises(ValueError, match="tol"):
+        invert(m, tol=tol)
+
+
 def test_invert_nonsquare_raises():
     with pytest.raises(NonSquareError):
         invert(np.ones((2, 3)))
