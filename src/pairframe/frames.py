@@ -33,12 +33,17 @@ class OperatorFamily:
     stacked: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, members: Sequence, ambient_dim: int | None = None):
-        mats = []
-        for k, raw in enumerate(members):
-            m = spectral.as_matrix(raw)
-            if m.shape[0] < 1:
+        if isinstance(members, np.ndarray) and members.ndim == 3:
+            # members of one shape, converted and checked in one pass
+            count, rows, width = members.shape
+            mats = [spectral.as_matrix(members.reshape(count * rows, width))] if count else []
+            codims = [rows] * count
+        else:
+            mats = [spectral.as_matrix(raw) for raw in members]
+            codims = [len(m) for m in mats]
+        for k, d in enumerate(codims):
+            if d < 1:
                 raise ValueError(f"member {k} has no rows")
-            mats.append(m)
         if not mats:
             raise ValueError("family needs at least one member")
         n = mats[0].shape[1] if ambient_dim is None else int(ambient_dim)
@@ -53,20 +58,24 @@ class OperatorFamily:
         stacked.flags.writeable = False
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "stacked", stacked)
-        starts = itertools.accumulate((len(m) for m in mats), initial=0)
-        members = tuple(stacked[s : s + len(m)] for s, m in zip(starts, mats))
+        starts = itertools.accumulate(codims, initial=0)
+        members = tuple(stacked[s : s + d] for s, d in zip(starts, codims))
         object.__setattr__(self, "members", members)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "OperatorFamily":
-        """Family for an ordinary frame: each vector f becomes the row f^H."""
-        rows = []
-        for v in vectors:
-            arr = np.asarray(v, dtype=np.complex128)
-            if arr.ndim != 1:
-                raise ValueError("from_vectors expects 1-D vectors")
-            rows.append(arr.conj()[None, :])
-        return cls(rows, ambient_dim)
+        """Family for an ordinary frame: each vector f becomes the row f^H.
+        Vectors of one length are converted and conjugated as one array."""
+        try:
+            rows = np.asarray(vectors, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged or not numbers: row by row below
+            rows = None
+        if rows is not None and rows.ndim == 2:
+            return cls(rows.conj()[:, None, :], ambient_dim)
+        rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
+        if any(r.ndim != 1 for r in rows):
+            raise ValueError("from_vectors expects 1-D vectors")
+        return cls([r.conj()[None, :] for r in rows], ambient_dim)
 
     @property
     def count(self) -> int:

@@ -30,8 +30,15 @@ NEAR_IDENTITY_GUARD = 1e-10
 
 #: most centre-of-gravity cuts of the alpha search
 ALPHA_CUTS = 80
+#: the cuts stop once best residual - certified lower bound <= ALPHA_GAP * best
+ALPHA_GAP = 1e-12
 #: angles scored on the reporting ring when no scalar certifies
 HOPELESS_RING = 64
+
+_EPS = float(np.finfo(np.float64).eps)
+#: rounding allowed in a computed norm(I - b*S) for b in the search square,
+#: where |b| norm(S) <= 2 sqrt(2); the certified lower bound is lowered by it
+_ROUNDOFF = 16.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -39,13 +46,20 @@ class NearIdentityReport:
     """Best scalar found and whether it certifies near-identity.
 
     ``is_positive_variant`` records the self-adjoint picture: S hermitian
-    and the reported alpha real and positive.
+    and the reported alpha real and positive. ``method`` says how alpha was
+    reached ("closed form", "cuts" or "ring"), ``cuts`` how many cuts were
+    made, and ``residual_gap`` how far ``residual`` can lie above the
+    infimum of norm(I - alpha*S) over every complex alpha: the residual
+    minus a certified lower bound on that infimum, floored at 0.
     """
 
     alpha: complex
     residual: float
     is_near_identity: bool
     is_positive_variant: bool
+    method: str
+    cuts: int
+    residual_gap: float
 
 
 class TraceEntry(NamedTuple):
@@ -76,11 +90,11 @@ def _step(s: np.ndarray, alpha: complex) -> np.ndarray:
     return np.eye(s.shape[0], dtype=np.complex128) - scaled
 
 
-def _clip(poly: list, a: complex, c: complex) -> list:
-    """The points b of a convex polygon (complex vertices) with Re((b - a) c) >= 0."""
+def _clip(poly: list, a: complex, c: complex, depth: float) -> list:
+    """The points b of a convex polygon (complex vertices) with Re((b - a) c) >= depth."""
     out = []
     for p, q in zip(poly, poly[1:] + poly[:1]):
-        fp, fq = ((p - a) * c).real, ((q - a) * c).real
+        fp, fq = ((p - a) * c).real - depth, ((q - a) * c).real - depth
         if fp >= 0.0:
             out.append(p)
         if (fp >= 0.0) != (fq >= 0.0):
@@ -101,6 +115,48 @@ def _centroid(poly: list) -> complex | None:
     return poly[0] + complex(((p + q) * cross).sum() / (3.0 * cross.sum()))
 
 
+def _cuts(s: np.ndarray, onorm: float) -> tuple[complex, float, float, int]:
+    """Centre-of-gravity cuts on norm(I - alpha*S) from alpha = 0.
+
+    Returns the best alpha, its residual estimate (at most the exact
+    residual, and within roundoff of it), a certified lower bound on the
+    infimum and the number of cuts made.
+    """
+    n = s.shape[0]
+    r = 2.0 / onorm
+    poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
+    best_alpha, best, lb = 0j, 1.0, 0.0
+    minorants = np.empty((ALPHA_CUTS, 3), dtype=np.complex128)  # rows (a_j, sigma_j, c_j)
+    cuts = 0
+    while cuts < ALPHA_CUTS and (a := _centroid(poly)) is not None:
+        step = _step(s, a)
+        v = np.linalg.eigh(step.conj().T @ step)[1][:, -1]
+        av = step @ v
+        sigma = float(np.linalg.norm(av))
+        cuts += 1
+        if sigma == 0.0:  # a*S = I: the minimum 0 is attained
+            return a, 0.0, 0.0, cuts
+        # u = Av/sigma is a unit vector, so for every b
+        # norm(I - b*S) >= Re(u^H (I - b*S) v) = sigma - Re((b - a) c)
+        c = complex(av.conj() @ (s @ v)) / sigma
+        minorants[cuts - 1] = a, sigma, c
+        if sigma < best:
+            best_alpha, best = a, sigma
+        # deep cut: a minimizer b has sigma - Re((b - a) c) <= norm(I - b*S)
+        # <= best, up to roundoff in I - a*S and in the estimate
+        pad = 4.0 * n * _EPS * (1.0 + abs(a) * onorm)
+        poly = _clip(poly, a, c, sigma - best - pad)
+        if poly:
+            # P still holds the minimizers, so each minorant's least value
+            # on P (at a vertex) bounds the infimum from below
+            aj, sj, cj = minorants[:cuts].T
+            low = sj.real[:, None] - ((np.array(poly) - aj[:, None]) * cj[:, None]).real
+            lb = max(lb, float(low.min(axis=1).max()) - _ROUNDOFF)
+        if best - lb <= ALPHA_GAP * best or lb >= 1.0 - NEAR_IDENTITY_GUARD:
+            break
+    return best_alpha, best, lb, cuts
+
+
 def find_alpha(S) -> NearIdentityReport:
     """Scalar alpha minimizing norm(I - alpha*S), with verdicts.
 
@@ -109,29 +165,44 @@ def find_alpha(S) -> NearIdentityReport:
     every complex alpha; any other hermitian S has 0 in its numerical range,
     so no alpha brings the residual below 1. A hermitian S whose closed form
     does not clear 1 - NEAR_IDENTITY_GUARD (a singular S whose lambda_min
-    rounds above 0, say) therefore goes straight to the report below. A
-    non-hermitian search starts from alpha = 0, where the residual is
+    rounds above 0, say) therefore goes straight to the report below.
+
+    A non-hermitian search starts from alpha = 0, where the residual is
     exactly 1, and makes up to ALPHA_CUTS centre-of-gravity cuts:
-    norm(I - alpha*S) is convex in alpha, its minimizers lie in
-    |alpha| <= 2/norm(S), and the top singular pair at the centroid of the
-    region still holding them gives a half plane that keeps them while
-    removing at least 4/9 of the area. Some alpha has
+    norm(I - alpha*S) is convex in alpha and its minimizers lie in
+    |alpha| <= 2/norm(S). At the centroid a of the polygon P still holding
+    them, the top eigenvector v of A^H A, A = I - a*S (one ``eigh``), and
+    u = Av/norm(Av) give the minorant l(b) = Re(u^H (I - b*S) v) of the
+    residual, exact for any unit v. The cut is deep: it keeps the b with
+    l(b) <= best residual plus a roundoff pad, which still holds every
+    minimizer. The largest least value of any l_j over the vertices of P,
+    less a rounding allowance, is a certified lower bound LB on the
+    infimum. The cuts stop once best - LB <= ALPHA_GAP * best, or once
+    LB >= 1 - NEAR_IDENTITY_GUARD, which fixes the verdict as no. The best
+    alpha is rescored by one exact SVD. Some alpha has
     norm(I - alpha*S) < 1 exactly when 0 is not in the numerical range.
 
     If the best residual does not clear 1 - NEAR_IDENTITY_GUARD, the verdict
     is no, and by convention the report holds the best of HOPELESS_RING
     points on the ring |alpha| = 1/(10 norm(S)), each scored by an exact
     SVD, the first on a tie. S = 0 yields alpha = 0 and residual 1.
+
+    ``residual_gap`` is the residual minus the certified lower bound: LB on
+    the cut path, the closed form's own residual for hermitian definite S
+    (a gap of 0 when the closed form is reported), and 1 for any other
+    hermitian S.
     """
     s = spectral._square_matrix(S)
     onorm = spectral.op_norm(s)
     if onorm == 0.0:
         return NearIdentityReport(
-            alpha=0j, residual=1.0, is_near_identity=False, is_positive_variant=False
+            alpha=0j, residual=1.0, is_near_identity=False, is_positive_variant=False,
+            method="closed form", cuts=0, residual_gap=0.0,
         )
 
     sh = s.conj().T
-    best_alpha, best_res = 0j, 1.0
+    # a hermitian S that is not definite has 0 in W(S): the infimum is 1
+    best_alpha, best_res, lb, cuts, method = 0j, 1.0, 1.0, 0, "closed form"
     hermitian = spectral.op_norm(s - sh) <= spectral.HERMITIAN_TOL * onorm
     if hermitian:
         w = np.linalg.eigvalsh(0.5 * (s + sh))
@@ -139,20 +210,14 @@ def find_alpha(S) -> NearIdentityReport:
         if lmin > 0.0 or lmax < 0.0:
             alpha = 2.0 / (lmin + lmax)
             best_alpha, best_res = complex(alpha), spectral.op_norm(_step(s, alpha))
+            lb = best_res
     else:
-        r = 2.0 / onorm
-        poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
-        for _ in range(ALPHA_CUTS):
-            a = _centroid(poly)
-            if a is None:
-                break
-            u, sv, vh = np.linalg.svd(_step(s, a))
-            if sv[0] < best_res:
-                best_alpha, best_res = a, float(sv[0])
-            # norm(I - b*S) >= Re(u^H (I - b*S) v) = sv[0] - Re((b - a) c)
-            c = complex(u[:, 0].conj() @ s @ vh[0].conj())
-            poly = _clip(poly, a, c)
+        method = "cuts"
+        best_alpha, best_res, lb, cuts = _cuts(s, onorm)
+        if best_res < 1.0 - NEAR_IDENTITY_GUARD:
+            best_res = spectral.op_norm(_step(s, best_alpha))
     if best_res >= 1.0 - NEAR_IDENTITY_GUARD:
+        method = "ring"
         angles = np.linspace(0.0, 2.0 * math.pi, HOPELESS_RING, endpoint=False)
         ring = (1.0 / (10.0 * onorm)) * np.exp(1j * angles)
         residuals = [spectral.op_norm(_step(s, complex(a))) for a in ring]
@@ -165,6 +230,9 @@ def find_alpha(S) -> NearIdentityReport:
         residual=best_res,
         is_near_identity=best_res < 1.0 - NEAR_IDENTITY_GUARD,
         is_positive_variant=positive,
+        method=method,
+        cuts=cuts,
+        residual_gap=max(0.0, best_res - lb),
     )
 
 

@@ -34,6 +34,35 @@ def test_from_vectors_stores_conjugate_rows():
     assert_allclose(fam.members[0], [[-1j, 0.0]])
 
 
+def test_from_vectors_whole_array_matches_row_by_row_bytes():
+    """One conj of the whole array gives the bytes of conjugating each
+    vector into its own 1 x n member, signed zeros and extremes included."""
+    rows = complex_noise(rng_for(29), (40, 7))
+    rows[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324 - 1e300j, -1e-300 + 0.0j]
+    by_row = OperatorFamily([v.conj()[None, :] for v in rows], 7)
+    for vectors in (rows, list(rows), rows.tolist()):
+        fam = OperatorFamily.from_vectors(vectors, 7)
+        assert fam.stacked.tobytes() == by_row.stacked.tobytes()
+        assert [m.tobytes() for m in fam.members] == [m.tobytes() for m in by_row.members]
+        assert fam.codims == (1,) * 40 and not fam.stacked.flags.writeable
+    assert not np.shares_memory(OperatorFamily.from_vectors(rows).stacked, rows)
+
+
+def test_from_vectors_errors():
+    with pytest.raises(ValueError, match="1-D vectors"):
+        OperatorFamily.from_vectors([[[1.0, 0.0]]])
+    with pytest.raises(ValueError, match="1-D vectors"):
+        OperatorFamily.from_vectors([1.0, 2.0])
+    with pytest.raises(DimensionMismatchError, match="member 1 has 3 columns"):
+        OperatorFamily.from_vectors([[1.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(DimensionMismatchError, match="member 0 has 2 columns"):
+        OperatorFamily.from_vectors(np.eye(2), 3)
+    with pytest.raises(ValueError, match="at least one member"):
+        OperatorFamily.from_vectors(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorFamily.from_vectors([[1.0, np.nan]])
+
+
 def test_members_are_immutable():
     fam = OperatorFamily.from_vectors(np.eye(2))
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -22,8 +23,17 @@ from pairframe import (
     op_norm,
     reconstruct,
 )
-from pairframe.neumann import ALPHA_CUTS, HOPELESS_RING
+from pairframe.neumann import (
+    ALPHA_CUTS,
+    ALPHA_GAP,
+    HOPELESS_RING,
+    NEAR_IDENTITY_GUARD,
+    _centroid,
+    _clip,
+)
 from pairframe.oracle import brute_numerical_range
+
+EPS = np.finfo(np.float64).eps
 
 
 def diag13_system() -> PairSystem:
@@ -40,6 +50,7 @@ def test_find_alpha_identity():
     assert rep.alpha == 1.0
     assert rep.residual == 0.0
     assert rep.is_near_identity and rep.is_positive_variant
+    assert (rep.method, rep.cuts, rep.residual_gap) == ("closed form", 0, 0.0)
 
 
 def test_find_alpha_hermitian_closed_form():
@@ -91,15 +102,19 @@ def test_find_alpha_rotation_is_hopeless():
     rep = find_alpha(rot)
     assert not rep.is_near_identity
     assert rep.residual >= 1.0 - 1e-10
+    assert rep.method == "ring" and rep.cuts < ALPHA_CUTS
     assert abs(rep.alpha) == pytest.approx(1.0 / 30.0, rel=1e-15)
     assert abs(rep.alpha.imag) <= 1e-16
     assert rep.residual == pytest.approx(np.sqrt(1.01), rel=1e-15)
 
 
 def test_find_alpha_hermitian_indefinite_is_hopeless():
+    """0 is in W(S), so the certified infimum is 1 and no cut is made."""
     rep = find_alpha(np.diag([1.0, -1.0]))
     assert not rep.is_near_identity
     assert rep.residual >= 1.0 - 1e-10
+    assert (rep.method, rep.cuts) == ("ring", 0)
+    assert rep.residual_gap == rep.residual - 1.0
 
 
 def test_find_alpha_singular_hermitian_is_hopeless():
@@ -130,6 +145,7 @@ def test_find_alpha_rotated_singular_projection():
     assert np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] > 0.0
     rep = find_alpha(s)
     assert not rep.is_near_identity and not rep.is_positive_variant
+    assert (rep.method, rep.cuts) == ("ring", 0)
     assert_ring_point(s, rep)
 
 
@@ -163,11 +179,15 @@ def test_find_alpha_hermitian_not_near_identity_skips_the_cuts(monkeypatch, s):
 def test_find_alpha_reports_the_ring_point_when_not_near_identity(seed):
     """A unitarily rotated singular normal matrix: 0 is an eigenvalue, so no
     scalar helps, yet the cuts can round a residual to just under 1. The
-    report is the ring point, not the point where the cuts stopped."""
+    cuts stop as soon as their lower bound reaches 1 - NEAR_IDENTITY_GUARD,
+    which fixes the verdict, and the report is the ring point, not the
+    point where the cuts stopped."""
     q, _ = np.linalg.qr(complex_noise(rng_for(seed), (3, 3)))
     s = q @ np.diag([1.0, 0.6 * np.exp(0.5j), 0.0]) @ q.conj().T
     rep = find_alpha(s)
     assert not rep.is_near_identity and not rep.is_positive_variant
+    assert rep.method == "ring" and 0 < rep.cuts < ALPHA_CUTS
+    assert rep.residual - rep.residual_gap >= 1.0 - NEAR_IDENTITY_GUARD
     assert_ring_point(s, rep)
 
 
@@ -236,6 +256,8 @@ def test_find_alpha_reaches_the_minimum_on_normal_matrices():
             for x0 in ([rep.alpha.real, rep.alpha.imag], [0.5, 0.0], [0.1, 0.1])
         )
         assert rep.residual <= best + 1e-12, (k, rep.residual, best)
+        # the certified lower bound never passes the minimum found
+        assert rep.residual - rep.residual_gap <= best, (k, rep, best)
 
 
 def test_find_alpha_verdict_matches_oracle_numerical_range():
@@ -259,26 +281,32 @@ def test_find_alpha_verdict_matches_oracle_numerical_range():
 
 
 def test_find_alpha_takes_no_eigvalsh_and_few_svds(monkeypatch):
-    """A non-hermitian n=32 search: no numerical-range sweep, only the norm,
-    the hermitian test and at most ALPHA_CUTS cuts, one SVD each."""
+    """A non-hermitian n=32 search: no numerical-range sweep, three SVDs
+    (the norm, the hermitian test and the rescore of the best alpha) and
+    one Gram eigh per cut, stopped by the certified gap well before
+    ALPHA_CUTS (the 80-cut search took 82 SVDs)."""
     s = np.eye(32) + 0.3 * complex_noise(rng_for(32), (32, 32)) / np.sqrt(32)
-    svds, eigs = [], []
-    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
 
-    def counting_svd(*args, **kwargs):
-        svds.append(1)
-        return svd(*args, **kwargs)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    def counting_eigvalsh(*args, **kwargs):
-        eigs.append(1)
-        return eigvalsh(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     rep = find_alpha(s)
+    monkeypatch.undo()
     assert rep.is_near_identity and not rep.is_positive_variant
-    assert eigs == []
-    assert len(svds) <= 2 + ALPHA_CUTS
+    assert rep.method == "cuts" and rep.cuts == calls["eigh"]
+    assert calls["eigvalsh"] == 0
+    assert calls["svd"] == 3
+    assert calls["eigh"] <= 50
+    assert rep.residual_gap <= ALPHA_GAP * rep.residual
 
 
 def test_find_alpha_zero_matrix():
@@ -286,6 +314,86 @@ def test_find_alpha_zero_matrix():
     assert rep.alpha == 0j
     assert rep.residual == 1.0
     assert not rep.is_near_identity and not rep.is_positive_variant
+    assert (rep.method, rep.cuts, rep.residual_gap) == ("closed form", 0, 0.0)
+
+
+# Reference: the centre-of-gravity search as it was before the certified
+# stop, ALPHA_CUTS shallow cuts through the centroid with the top singular
+# pair of one SVD each.
+
+
+def shallow_cuts(s: np.ndarray) -> tuple[complex, float]:
+    """Best (alpha, residual) of ALPHA_CUTS shallow SVD cuts from alpha = 0."""
+    n = s.shape[0]
+    r = 2.0 / op_norm(s)
+    poly = [complex(r, r), complex(-r, r), complex(-r, -r), complex(r, -r)]
+    best_alpha, best_res = 0j, 1.0
+    for _ in range(ALPHA_CUTS):
+        a = _centroid(poly)
+        if a is None:
+            break
+        u, sv, vh = np.linalg.svd(np.eye(n) - a * s)
+        if sv[0] < best_res:
+            best_alpha, best_res = a, float(sv[0])
+        poly = _clip(poly, a, complex(u[:, 0].conj() @ s @ vh[0].conj()), 0.0)
+    return best_alpha, best_res
+
+
+@functools.cache
+def non_hermitian_corpus() -> tuple:
+    """60 non-hermitian matrices, n <= 16: rotated and scaled near-identity,
+    Gaussian, shifted Gaussian, and normal matrices a hair from 0 in W(S)."""
+    rng = rng_for(113)
+    mats = []
+    for k in range(15):
+        n = 2 + k
+        phase = np.exp(2j * np.pi * rng.uniform())
+        scale = rng.uniform(0.5, 3.0)
+        noise = rng.uniform(0.1, 0.5) * complex_noise(rng, (n, n)) / np.sqrt(n)
+        mats.append(scale * phase * (np.eye(n) + noise))
+        mats.append(complex_noise(rng, (n, n)))
+        shift = rng.uniform(0.3, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        mats.append(complex_noise(rng, (n, n)) / np.sqrt(2 * n) + shift * np.eye(n))
+        lam = np.exp(1j * rng.uniform(-1.2, 1.2, n)) * rng.uniform(0.5, 1.0, n)
+        lam[0] = 10.0 ** -rng.uniform(3, 9) * np.exp(1j * rng.uniform(-0.3, 0.3))
+        q, _ = np.linalg.qr(complex_noise(rng, (n, n)))
+        mats.append(q @ np.diag(lam) @ q.conj().T)
+    return tuple(mats)
+
+
+@pytest.mark.parametrize("k", range(60))
+def test_find_alpha_agrees_with_the_shallow_reference(k):
+    """Same verdict as ALPHA_CUTS shallow SVD cuts, and a residual above the
+    reference's by at most the certified gap."""
+    s = non_hermitian_corpus()[k]
+    rep = find_alpha(s)
+    _, ref = shallow_cuts(s)
+    assert rep.is_near_identity == (ref < 1.0 - NEAR_IDENTITY_GUARD), (rep, ref)
+    assert rep.residual <= ref + rep.residual_gap, (rep, ref)
+    if rep.method == "cuts" and rep.cuts < ALPHA_CUTS:
+        assert rep.residual_gap <= ALPHA_GAP * rep.residual + 4.0 * EPS, rep
+    assert rep.residual == op_norm(np.eye(s.shape[0]) - rep.alpha * s)
+
+
+def test_find_alpha_lower_bound_stays_below_a_dense_grid():
+    """At n <= 3, residual - residual_gap (the certified lower bound) never
+    exceeds the least residual on a dense alpha grid over the search square
+    and on a fine grid around the reported alpha."""
+    rng = rng_for(127)
+    for k in range(12):
+        n = 2 + k % 2
+        s = complex_noise(rng, (n, n)) / np.sqrt(2 * n) + (0.2 + 0.1 * k) * np.exp(1j * k) * np.eye(n)
+        rep = find_alpha(s)
+        r = 2.0 / op_norm(s)
+        coarse = np.linspace(-r, r, 81)
+        fine = np.linspace(-1e-3, 1e-3, 41) * max(abs(rep.alpha), 1.0 / op_norm(s))
+        grid = np.concatenate([
+            (coarse[:, None] + 1j * coarse[None, :]).ravel(),
+            (rep.alpha + fine[:, None] + 1j * fine[None, :]).ravel(),
+        ])
+        steps = np.eye(n) - grid[:, None, None] * s
+        least = np.linalg.svd(steps, compute_uv=False)[:, 0].min()
+        assert rep.residual - rep.residual_gap <= least, (k, rep, least)
 
 
 def test_find_alpha_argument_validation():
