@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .errors import DimensionMismatchError, NotAFrameError, SingularMatrixError
+from .errors import DimensionMismatchError, NotAFrameError
 
 #: default relative threshold on lambda_min for the frame verdict
 FRAME_TOL = 1e-10
@@ -146,8 +146,8 @@ class ClassificationReport:
     ``alpha_star`` and ``residual`` are present only for frames: alpha_star
     is 1/B and residual the operator norm of I - S/B, which is < 1 exactly
     when the family is a frame. ``cert_invertible``/``cert_surjective``
-    record whether the frame operator passed inversion at the same relative
-    tolerance as the verdict, so all verdicts agree by construction.
+    record sigma_min(S) above the verdict's threshold; S is positive
+    semidefinite, so that is the verdict's own eigenvalue test.
     """
 
     is_bessel: bool
@@ -159,22 +159,18 @@ class ClassificationReport:
     cert_surjective: bool
 
 
-def _relative_tol(tol: float | None, lmax: float) -> tuple[float, float]:
-    """(absolute threshold on lambda_min, relative threshold for invert)."""
-    if tol is None:
-        return FRAME_TOL * lmax, FRAME_TOL
-    if lmax > 0.0:
-        # a ratio >= 1 fails every matrix; the cap keeps tol / lmax = inf out of invert
-        return tol, min(tol / lmax, 1.0)
-    return tol, spectral.SINGULAR_TOL
+def _regroup(family: OperatorFamily, stacked: np.ndarray) -> OperatorFamily:
+    """Family whose stacked rows are ``stacked``, cut as ``family``'s are."""
+    codims = family.codims
+    if len(set(codims)) == 1:  # one shape: converted and checked as one array
+        return OperatorFamily(stacked.reshape(family.count, codims[0], -1))
+    return OperatorFamily(np.split(stacked, family.offsets[1:]))
 
 
-def _classify(
-    family: OperatorFamily, tol: float | None
-) -> tuple[ClassificationReport, np.ndarray | None]:
-    """:func:`classify` with the frame operator's inverse, which
-    :func:`canonical_dual` reuses; None when the invertibility certificate
-    fails."""
+def _classify(family: OperatorFamily, tol: float | None) -> tuple[ClassificationReport, np.ndarray]:
+    """:func:`classify` with the frame operator S, which :func:`canonical_dual`
+    reuses. One ``eigvalsh`` of S decides the verdict, the bounds and both
+    certificates; one SVD measures the residual."""
     if tol is not None:
         spectral._check_tol(tol)
     s = frame_operator(family)
@@ -182,12 +178,7 @@ def _classify(
     w = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
     lmin, lmax = float(w[0]), max(0.0, float(w[-1]))
     bounds = FrameBounds(lower=max(0.0, lmin), upper=lmax)
-    abs_tol, rel_tol = _relative_tol(tol, lmax)
-    is_frame = lmin > abs_tol
-    try:
-        s_inv = spectral.invert(s, rel_tol)
-    except SingularMatrixError:
-        s_inv = None
+    is_frame = lmin > (FRAME_TOL * lmax if tol is None else tol)
     alpha_star = residual = None
     if is_frame:
         alpha_star = 1.0 / lmax
@@ -198,10 +189,10 @@ def _classify(
         bounds=bounds,
         alpha_star=alpha_star,
         residual=residual,
-        cert_invertible=s_inv is not None,
-        cert_surjective=s_inv is not None,
+        cert_invertible=is_frame,
+        cert_surjective=is_frame,
     )
-    return report, s_inv
+    return report, s
 
 
 def classify(family: OperatorFamily, tol: float | None = None) -> ClassificationReport:
@@ -210,9 +201,9 @@ def classify(family: OperatorFamily, tol: float | None = None) -> Classification
     Any finite family is Bessel with optimal upper bound lambda_max(S). The
     frame verdict is lambda_min(S) > tol, where ``tol`` defaults to the
     relative threshold FRAME_TOL * lambda_max; passing an explicit ``tol``
-    makes the threshold absolute. Invertibility is certified at the matching
-    relative tolerance so the verdicts cannot drift apart at the boundary.
-    A negative or non-finite ``tol`` raises ``ValueError``.
+    makes the threshold absolute. S is positive semidefinite, so these
+    eigenvalues are its singular values: invertibility is certified at the
+    same threshold. A negative or non-finite ``tol`` raises ``ValueError``.
     """
     return _classify(family, tol)[0]
 
@@ -221,13 +212,14 @@ def canonical_dual(family: OperatorFamily, tol: float | None = None) -> Operator
     """Dual family {L_i S^-1} realizing perfect reconstruction.
 
     synthesis(dual, analysis(family, f)) recovers f for every f, since the
-    composition sums to S^-1 S. Raises ``NotAFrameError`` when the family is
-    not a frame at the given tolerance, and ``ValueError`` for a negative or
-    non-finite ``tol``.
+    composition sums to S^-1 S; for hermitian S the stacked dual
+    L S^-1 = (S^-1 L^H)^H is one solve. Raises ``NotAFrameError`` when the
+    family is not a frame at the given tolerance, and ``ValueError`` for a
+    negative or non-finite ``tol``.
     """
-    report, s_inv = _classify(family, tol)
-    if not report.is_frame or s_inv is None:
+    report, s = _classify(family, tol)
+    if not report.is_frame:
         raise NotAFrameError(
             f"frame operator has lambda_min = {report.bounds.lower:.3e}; no bounded dual"
         )
-    return OperatorFamily([m @ s_inv for m in family.members], family.ambient_dim)
+    return _regroup(family, np.linalg.solve(s, family.stacked.conj().T).conj().T)

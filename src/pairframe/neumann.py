@@ -30,7 +30,7 @@ NEAR_IDENTITY_GUARD = 1e-10
 
 #: most centre-of-gravity cuts of the alpha search
 ALPHA_CUTS = 80
-#: the cuts stop once best residual - certified lower bound <= ALPHA_GAP * best
+#: the cuts stop once best residual - certified lower bound LB <= ALPHA_GAP * best + _ROUNDOFF
 ALPHA_GAP = 1e-12
 #: angles scored on the reporting ring when no scalar certifies
 HOPELESS_RING = 64
@@ -152,7 +152,7 @@ def _cuts(s: np.ndarray, onorm: float) -> tuple[complex, float, float, int]:
             aj, sj, cj = minorants[:cuts].T
             low = sj.real[:, None] - ((np.array(poly) - aj[:, None]) * cj[:, None]).real
             lb = max(lb, float(low.min(axis=1).max()) - _ROUNDOFF)
-        if best - lb <= ALPHA_GAP * best or lb >= 1.0 - NEAR_IDENTITY_GUARD:
+        if best - lb <= ALPHA_GAP * best + _ROUNDOFF or lb >= 1.0 - NEAR_IDENTITY_GUARD:
             break
     return best_alpha, best, lb, cuts
 
@@ -177,7 +177,8 @@ def find_alpha(S) -> NearIdentityReport:
     l(b) <= best residual plus a roundoff pad, which still holds every
     minimizer. The largest least value of any l_j over the vertices of P,
     less a rounding allowance, is a certified lower bound LB on the
-    infimum. The cuts stop once best - LB <= ALPHA_GAP * best, or once
+    infimum. The cuts stop once best - LB <= ALPHA_GAP * best + _ROUNDOFF
+    (the absolute floor ends a search whose infimum is 0), or once
     LB >= 1 - NEAR_IDENTITY_GUARD, which fixes the verdict as no. The best
     alpha is rescored by one exact SVD. Some alpha has
     norm(I - alpha*S) < 1 exactly when 0 is not in the numerical range.
@@ -188,9 +189,11 @@ def find_alpha(S) -> NearIdentityReport:
     SVD, the first on a tie. S = 0 yields alpha = 0 and residual 1.
 
     ``residual_gap`` is the residual minus the certified lower bound: LB on
-    the cut path, the closed form's own residual for hermitian definite S
-    (a gap of 0 when the closed form is reported), and 1 for any other
-    hermitian S.
+    the cut path, 1 for a hermitian S that is not definite, and for
+    hermitian definite S the optimum (lmax - lmin)/|lmax + lmin| of its
+    hermitian part less norm(S - S^H)/norm(S) and the rounding allowance:
+    any alpha with residual <= 1 has |alpha| <= 2/norm(S), so the skew part
+    moves its residual by at most that much.
     """
     s = spectral._square_matrix(S)
     onorm = spectral.op_norm(s)
@@ -203,14 +206,15 @@ def find_alpha(S) -> NearIdentityReport:
     sh = s.conj().T
     # a hermitian S that is not definite has 0 in W(S): the infimum is 1
     best_alpha, best_res, lb, cuts, method = 0j, 1.0, 1.0, 0, "closed form"
-    hermitian = spectral.op_norm(s - sh) <= spectral.HERMITIAN_TOL * onorm
+    skew = spectral.op_norm(s - sh)
+    hermitian = skew <= spectral.HERMITIAN_TOL * onorm
     if hermitian:
         w = np.linalg.eigvalsh(0.5 * (s + sh))
         lmin, lmax = float(w[0]), float(w[-1])
         if lmin > 0.0 or lmax < 0.0:
             alpha = 2.0 / (lmin + lmax)
             best_alpha, best_res = complex(alpha), spectral.op_norm(_step(s, alpha))
-            lb = best_res
+            lb = max(0.0, (lmax - lmin) / abs(lmax + lmin) - skew / onorm - _ROUNDOFF)
     else:
         method = "cuts"
         best_alpha, best_res, lb, cuts = _cuts(s, onorm)

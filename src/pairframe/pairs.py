@@ -17,7 +17,7 @@ from .errors import (
     ExponentMismatchError,
     InvalidExponentError,
 )
-from .frames import OperatorFamily, frame_operator
+from .frames import OperatorFamily, _regroup, frame_operator
 
 #: default relative invertibility threshold for the pair-frame verdict
 PAIR_TOL = 1e-10
@@ -188,8 +188,8 @@ def compose(system: PairSystem, V, W) -> PairSystem:
         raise DimensionMismatchError(
             f"composition matrices must be {n} x {n}, got {v.shape} and {w.shape}"
         )
-    gamma = OperatorFamily([g @ v for g in system.gamma.members], n)
-    lam = OperatorFamily([l @ w for l in system.lam.members], n)
+    gamma = _regroup(system.gamma, system.gamma.stacked @ v)
+    lam = _regroup(system.lam, system.lam.stacked @ w)
     return PairSystem(system.m, gamma, lam)
 
 

@@ -14,6 +14,7 @@ from pairframe import (
     GenSpec,
     OperatorFamily,
     PairSystem,
+    SingularMatrixError,
     analysis,
     canonical_dual,
     classify,
@@ -23,6 +24,7 @@ from pairframe import (
     frame_operator,
     generate,
     generate_pair,
+    invert,
     neumann_inverse,
     numerical_range_bounds,
     op_norm,
@@ -32,6 +34,7 @@ from pairframe import (
     reconstruct,
     synthesis,
 )
+from pairframe.frames import FRAME_TOL
 from pairframe.oracle import brute_numerical_range, sphere_extremes
 
 
@@ -42,7 +45,7 @@ def _verdict(num: int, failures: list, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1. classification equivalence: five verdicts agree on >= 50 families
+# 1. classification equivalence: six verdicts agree on >= 50 families
 
 
 def test_criterion_1_classification_equivalence():
@@ -55,12 +58,18 @@ def test_criterion_1_classification_equivalence():
         s = frame_operator(fam)
         a, b = rep.bounds.lower, rep.bounds.upper
         residual_ok = b > 0.0 and op_norm(np.eye(fam.ambient_dim) - s / b) < 1.0 - 1e-10
+        try:  # the SVD gate at the verdict's relative tolerance, independent of classify
+            invert(s, FRAME_TOL)
+            svd_invertible = True
+        except SingularMatrixError:
+            svd_invertible = False
         verdicts = {
             "is_frame": rep.is_frame,
             "lower_bound_positive": a > 1e-10 * b,
             "residual_below_one": residual_ok,
             "invertible": rep.cert_invertible,
             "surjective": rep.cert_surjective,
+            "svd_invertible": svd_invertible,
         }
         if len(set(verdicts.values())) != 1:
             failures.append(f"{spec}: verdicts diverge: {verdicts}")
@@ -72,7 +81,7 @@ def test_criterion_1_classification_equivalence():
                 )
             if rep.alpha_star != pytest.approx(1.0 / b, rel=1e-12):
                 failures.append(f"{spec}: alpha_star != 1/B")
-    _verdict(1, failures, f"five verdicts agree on {len(specs)} families")
+    _verdict(1, failures, f"six verdicts agree on {len(specs)} families")
 
 
 # ---------------------------------------------------------------------------

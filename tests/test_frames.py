@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import complex_noise, random_gframe_family, rng_for, summed_frame_operator, unit_vector
+from conftest import (
+    classification_specs,
+    complex_noise,
+    random_gframe_family,
+    rng_for,
+    summed_frame_operator,
+    unit_vector,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -206,8 +213,8 @@ def test_classify_absolute_tol_override():
 
 
 def test_classify_huge_tol_on_tiny_family_fails_the_certificate():
-    """tol / lambda_max overflows to inf here; the certificate still fails
-    rather than the inversion rejecting its own threshold."""
+    """tol / lambda_max would overflow to inf here; the absolute threshold
+    fails the verdict and the certificates together."""
     rep = classify(OperatorFamily.from_vectors(1e-156 * np.eye(2)), tol=1e10)
     assert not rep.is_frame and not rep.cert_invertible
 
@@ -219,20 +226,51 @@ def test_classify_rejects_negative_or_non_finite_tol(tol):
         classify(fam, tol=tol)
 
 
-def test_classify_takes_at_most_two_svds(monkeypatch):
-    """One SVD gates the inverse and one measures the residual; the frame
-    operator is hermitian by construction, so none goes to checking that."""
+@pytest.mark.parametrize(
+    "op, want",
+    [
+        (classify, {"eigvalsh": 1, "svd": 1, "solve": 0, "inv": 0}),
+        (canonical_dual, {"eigvalsh": 1, "svd": 1, "solve": 1, "inv": 0}),
+    ],
+    ids=["classify", "canonical_dual"],
+)
+def test_frame_operator_is_factored_once(monkeypatch, op, want):
+    """One eigvalsh of S decides the verdict, bounds and certificates, one
+    SVD measures the residual and the dual is one solve; nothing inverts S."""
     fam = OperatorFamily.from_vectors(complex_noise(rng_for(64), (256, 64)))
-    calls = []
-    svd = np.linalg.svd
+    calls = dict.fromkeys(want, 0)
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    assert classify(fam).is_frame
-    assert len(calls) <= 2
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    op(fam)
+    monkeypatch.undo()
+    assert calls == want
+
+
+def test_canonical_dual_matches_explicit_inverse():
+    """On every frame of the classification specs and on a g-frame of mixed
+    member shapes, the dual keeps the members' shapes and agrees with the
+    products L_i S^-1 through an explicit inverse to 1e-13 relative."""
+    families = [generate(spec) for spec in classification_specs()]
+    families.append(random_gframe_family(rng_for(5), 4, 7))
+    frames = [fam for fam in families if classify(fam).is_frame]
+    assert len(frames) == 43 and len(set(frames[-1].codims)) > 1
+    for fam in frames:
+        s_inv = np.linalg.inv(frame_operator(fam))
+        want = np.vstack([m @ s_inv for m in fam.members])
+        got = canonical_dual(fam)
+        assert got.codims == fam.codims
+        err = np.abs(got.stacked - want).max()
+        assert err <= 1e-13 * np.abs(want).max(), (fam.codims, err)
 
 
 def test_canonical_dual_orthonormal_is_itself():

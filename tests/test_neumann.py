@@ -30,6 +30,7 @@ from pairframe.neumann import (
     NEAR_IDENTITY_GUARD,
     _centroid,
     _clip,
+    _cuts,
 )
 from pairframe.oracle import brute_numerical_range
 
@@ -68,6 +69,26 @@ def test_find_alpha_hermitian_closed_form():
         assert rep.is_near_identity
 
 
+def test_find_alpha_nearly_hermitian_closed_form_gap_is_certified():
+    """A hermitian definite H plus a skew part with norm(S - S^H) =
+    2e-12 norm(S) passes the hermitian test and gets the closed form, the
+    optimum of H only. The cuts on the same S reach a lower residual, so
+    the gap cannot be 0: residual - residual_gap must stay below it."""
+    rng = rng_for(2)
+    a = complex_noise(rng, (4, 4))
+    h = a @ a.conj().T + 0.5 * np.eye(4)
+    k = complex_noise(rng, (4, 4))
+    k = k - k.conj().T
+    s = h + 1e-12 * op_norm(h) / op_norm(k) * k
+    rep = find_alpha(s)
+    assert rep.method == "closed form" and rep.is_positive_variant
+    alpha = _cuts(s, op_norm(s))[0]
+    attained = op_norm(np.eye(4) - alpha * s)
+    assert attained < rep.residual
+    assert rep.residual - rep.residual_gap <= attained
+    assert rep.residual_gap <= 4.0 * op_norm(s - s.conj().T) / op_norm(s)
+
+
 def test_find_alpha_diag13():
     rep = find_alpha(np.diag([1.0, 3.0]))
     assert rep.alpha == pytest.approx(0.5)
@@ -92,6 +113,14 @@ def test_find_alpha_complex_scale_of_identity():
     assert not rep.is_positive_variant
     assert rep.residual < 1e-6
     assert rep.alpha == pytest.approx(1.0 / (1.0 + 1.0j), abs=1e-6)
+
+
+def test_find_alpha_infimum_zero_stops_on_the_absolute_floor():
+    """(1+i)I at n=3 has infimum 0, which no relative gap can certify and
+    no centroid hits exactly: the absolute floor ends the cuts early."""
+    rep = find_alpha((1.0 + 1.0j) * np.eye(3))
+    assert rep.method == "cuts" and rep.cuts < ALPHA_CUTS
+    assert rep.is_near_identity and rep.residual < 1e-13
 
 
 def test_find_alpha_rotation_is_hopeless():

@@ -189,6 +189,23 @@ def test_compose_matches_congruence():
         assert op_norm(got - want) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("codims", [[1, 3, 2, 1, 2, 3, 1], [2] * 7], ids=["mixed", "uniform"])
+def test_compose_maps_each_member(codims):
+    """Each composed member is Gamma_i V (Lambda_i W), with the members'
+    shapes kept, though both families are mapped by one product each."""
+    gamma, lam = (
+        generate(GenSpec("random_gframe", dim=4, count=7, seed=seed, params={"codims": codims}))
+        for seed in (3, 4)
+    )
+    rng = rng_for(31)
+    v, w = complex_noise(rng, (4, 4)), complex_noise(rng, (4, 4))
+    composed = compose(PairSystem(np.ones(7), gamma, lam), v, w)
+    for family, mapped, mat in ((gamma, composed.gamma, v), (lam, composed.lam, w)):
+        assert mapped.codims == tuple(codims) and mapped.ambient_dim == 4
+        for got, member in zip(mapped.members, family.members):
+            assert_allclose(got, member @ mat, rtol=0, atol=1e-14 * op_norm(mat))
+
+
 def test_compose_preserves_pair_frame_verdict():
     rng = rng_for(29)
     sys = generate_pair(GenSpec("swap_fixture", dim=2), GenSpec("orthonormal", dim=2))
