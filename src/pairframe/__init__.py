@@ -2,15 +2,13 @@
 
 Classify operator families as frames, build multiplier (pair-frame)
 operators from weighted family pairs, bound their norms, and invert them
-with truncated Neumann series — with brute-force oracles (in
-``pairframe.oracle``, the one module that needs scipy, so it is not imported
-here) and deterministic generators for validation.
+with truncated Neumann series, on numpy alone. Deterministic generators
+supply validation inputs; the brute-force reference routes live in the
+test suite.
 """
 
 from .errors import (
     DimensionMismatchError,
-    DimensionTooLargeError,
-    EmptyMatrixError,
     ExponentMismatchError,
     FrameFileError,
     InvalidExponentError,
@@ -18,7 +16,6 @@ from .errors import (
     NonSquareError,
     NotAFrameError,
     PairFrameError,
-    SingularMatrixError,
 )
 from .frames import (
     ClassificationReport,
@@ -52,8 +49,6 @@ from .pairs import (
     pq_pair_norm_bound,
 )
 from .spectral import (
-    invert,
-    min_singular,
     numerical_range_bounds,
     op_norm,
 )
@@ -63,14 +58,11 @@ __version__ = "0.1.0"
 __all__ = [
     "PairFrameError",
     "NonSquareError",
-    "EmptyMatrixError",
-    "SingularMatrixError",
     "DimensionMismatchError",
     "NotAFrameError",
     "InvalidExponentError",
     "ExponentMismatchError",
     "InvalidSpecError",
-    "DimensionTooLargeError",
     "FrameFileError",
     "OperatorFamily",
     "FrameBounds",
@@ -99,8 +91,6 @@ __all__ = [
     "GenSpec",
     "generate",
     "generate_pair",
-    "min_singular",
     "op_norm",
-    "invert",
     "numerical_range_bounds",
 ]

@@ -14,14 +14,6 @@ class NonSquareError(PairFrameError):
     """An operation requiring a square matrix received a rectangular one."""
 
 
-class EmptyMatrixError(PairFrameError):
-    """Matrix has no entries."""
-
-
-class SingularMatrixError(PairFrameError):
-    """Matrix is singular (or numerically so) where an inverse is required."""
-
-
 class DimensionMismatchError(PairFrameError):
     """Shapes of operators, vectors or weight sequences are incompatible."""
 
@@ -40,10 +32,6 @@ class ExponentMismatchError(PairFrameError):
 
 class InvalidSpecError(PairFrameError):
     """A generator spec is malformed or internally inconsistent."""
-
-
-class DimensionTooLargeError(PairFrameError):
-    """Brute-force oracle invoked above its supported dimension."""
 
 
 class FrameFileError(PairFrameError):

@@ -127,8 +127,9 @@ def synthesis(family: OperatorFamily, h) -> np.ndarray:
 
 def frame_operator(family: OperatorFamily) -> np.ndarray:
     """S = sum of L_i^H L_i = L^H L for the stacked family L, hermitian
-    positive semidefinite by construction."""
-    return family.stacked.conj().T @ family.stacked
+    positive semidefinite by construction. Raises ``PairFrameError`` when
+    an entry of S overflows."""
+    return spectral._product("frame operator", family.stacked.conj().T, family.stacked)
 
 
 @dataclass(frozen=True)
@@ -167,32 +168,17 @@ def _regroup(family: OperatorFamily, stacked: np.ndarray) -> OperatorFamily:
     return OperatorFamily(np.split(stacked, family.offsets[1:]))
 
 
-def _classify(family: OperatorFamily, tol: float | None) -> tuple[ClassificationReport, np.ndarray]:
-    """:func:`classify` with the frame operator S, which :func:`canonical_dual`
-    reuses. One ``eigvalsh`` of S decides the verdict, the bounds and both
-    certificates; one SVD measures the residual."""
+def _spectrum(family: OperatorFamily, tol: float | None) -> tuple[np.ndarray, FrameBounds, bool]:
+    """The frame operator S, the frame bounds and the frame verdict, all from
+    one ``eigvalsh`` of S; :func:`classify` and :func:`canonical_dual` share it."""
     if tol is not None:
         spectral._check_tol(tol)
     s = frame_operator(family)
     # L^H L is hermitian by construction, so no hermiticity check is needed
     w = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
     lmin, lmax = float(w[0]), max(0.0, float(w[-1]))
-    bounds = FrameBounds(lower=max(0.0, lmin), upper=lmax)
     is_frame = lmin > (FRAME_TOL * lmax if tol is None else tol)
-    alpha_star = residual = None
-    if is_frame:
-        alpha_star = 1.0 / lmax
-        residual = spectral.op_norm(np.eye(family.ambient_dim) - s / lmax)
-    report = ClassificationReport(
-        is_bessel=True,
-        is_frame=is_frame,
-        bounds=bounds,
-        alpha_star=alpha_star,
-        residual=residual,
-        cert_invertible=is_frame,
-        cert_surjective=is_frame,
-    )
-    return report, s
+    return s, FrameBounds(lower=max(0.0, lmin), upper=lmax), is_frame
 
 
 def classify(family: OperatorFamily, tol: float | None = None) -> ClassificationReport:
@@ -203,9 +189,23 @@ def classify(family: OperatorFamily, tol: float | None = None) -> Classification
     relative threshold FRAME_TOL * lambda_max; passing an explicit ``tol``
     makes the threshold absolute. S is positive semidefinite, so these
     eigenvalues are its singular values: invertibility is certified at the
-    same threshold. A negative or non-finite ``tol`` raises ``ValueError``.
+    same threshold. One SVD measures the residual of a frame. A negative or
+    non-finite ``tol`` raises ``ValueError``.
     """
-    return _classify(family, tol)[0]
+    s, bounds, is_frame = _spectrum(family, tol)
+    alpha_star = residual = None
+    if is_frame:
+        alpha_star = 1.0 / bounds.upper
+        residual = spectral.op_norm(np.eye(family.ambient_dim) - s / bounds.upper)
+    return ClassificationReport(
+        is_bessel=True,
+        is_frame=is_frame,
+        bounds=bounds,
+        alpha_star=alpha_star,
+        residual=residual,
+        cert_invertible=is_frame,
+        cert_surjective=is_frame,
+    )
 
 
 def canonical_dual(family: OperatorFamily, tol: float | None = None) -> OperatorFamily:
@@ -217,9 +217,7 @@ def canonical_dual(family: OperatorFamily, tol: float | None = None) -> Operator
     family is not a frame at the given tolerance, and ``ValueError`` for a
     negative or non-finite ``tol``.
     """
-    report, s = _classify(family, tol)
-    if not report.is_frame:
-        raise NotAFrameError(
-            f"frame operator has lambda_min = {report.bounds.lower:.3e}; no bounded dual"
-        )
+    s, bounds, is_frame = _spectrum(family, tol)
+    if not is_frame:
+        raise NotAFrameError(f"frame operator has lambda_min = {bounds.lower:.3e}; no bounded dual")
     return _regroup(family, np.linalg.solve(s, family.stacked.conj().T).conj().T)

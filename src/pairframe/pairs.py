@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatchError,
     ExponentMismatchError,
     InvalidExponentError,
+    PairFrameError,
 )
 from .frames import OperatorFamily, _regroup, frame_operator
 
@@ -106,10 +107,12 @@ def pair_operator(system: PairSystem) -> np.ndarray:
     """S = sum of m_i Gamma_i^H Lambda_i as the product Gamma^H diag(m_i I) Lambda.
 
     Gamma and Lambda are the stacked families and each weight is repeated
-    over its member's d_i rows, so the sum is one matrix product.
+    over its member's d_i rows, so the sum is one matrix product. Raises
+    ``PairFrameError`` when an entry of S overflows.
     """
     wexp = np.repeat(system.m.as_array(), system.gamma.codims)
-    return (system.gamma.stacked.conj().T * wexp) @ system.lam.stacked
+    gamma_h = system.gamma.stacked.conj().T
+    return spectral._product("pair operator", gamma_h, system.lam.stacked, wexp)
 
 
 def adjoint_check(system: PairSystem) -> float:
@@ -152,7 +155,7 @@ class PairReport:
 def classify_pair(system: PairSystem, tol: float = PAIR_TOL) -> PairReport:
     """Pair-frame verdict with frame-like constants and adjoint residual.
 
-    The verdict is min_singular(S) > tol * op_norm(S); the frame-like
+    The verdict is sigma_min(S) > tol * sigma_max(S); the frame-like
     constants are the distance of the numerical range of S from the origin
     and the numerical radius. A negative or non-finite ``tol`` raises
     ``ValueError``.
@@ -179,7 +182,8 @@ def compose(system: PairSystem, V, W) -> PairSystem:
     """The system (m, {Gamma_i V}, {Lambda_i W}).
 
     Its pair operator is V^H S W, so composing with invertible V, W
-    preserves the pair-frame property.
+    preserves the pair-frame property. Raises ``PairFrameError`` when an
+    entry of a composed family overflows.
     """
     n = system.ambient_dim
     v = spectral.as_matrix(V)
@@ -188,8 +192,8 @@ def compose(system: PairSystem, V, W) -> PairSystem:
         raise DimensionMismatchError(
             f"composition matrices must be {n} x {n}, got {v.shape} and {w.shape}"
         )
-    gamma = _regroup(system.gamma, system.gamma.stacked @ v)
-    lam = _regroup(system.lam, system.lam.stacked @ w)
+    gamma = _regroup(system.gamma, spectral._product("composed gamma", system.gamma.stacked, v))
+    lam = _regroup(system.lam, spectral._product("composed lambda", system.lam.stacked, w))
     return PairSystem(system.m, gamma, lam)
 
 
@@ -257,7 +261,8 @@ def p_bessel_bound(
     Neither the step nor the merge nor the stop sees the scale of the
     family, so B_p(cL) = |c|^p B_p(L). Every iterate is a unit vector, so
     the largest phi seen, which is returned, is a certified lower estimate
-    of the true supremum.
+    of the true supremum; an estimate beyond the floating-point range
+    raises ``PairFrameError``.
     """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
@@ -275,14 +280,17 @@ def p_bessel_bound(
     X = np.concatenate([top_vec[:, -1:], starts], axis=1)
     X = X / np.linalg.norm(X, axis=0)
 
-    phi, grad = _objective_grad(stacked, offsets, codims, p, X)
-    best = phi.max()
-    for step in range(_MAX_ITERS):
-        X = _power_step(X, phi, grad, merge=step % _MERGE_EVERY == _MERGE_EVERY - 1)
-        if not X.shape[1]:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
         phi, grad = _objective_grad(stacked, offsets, codims, p, X)
-        best = max(best, phi.max())
+        best = phi.max()
+        for step in range(_MAX_ITERS):
+            X = _power_step(X, phi, grad, merge=step % _MERGE_EVERY == _MERGE_EVERY - 1)
+            if not X.shape[1]:
+                break
+            phi, grad = _objective_grad(stacked, offsets, codims, p, X)
+            best = max(best, phi.max())
+    if not math.isfinite(best):
+        raise PairFrameError(f"p-Bessel estimate overflows at p = {p}")
     return float(best)
 
 

@@ -14,12 +14,10 @@ import math
 
 import numpy as np
 
-from .errors import EmptyMatrixError, NonSquareError, SingularMatrixError
+from .errors import NonSquareError, PairFrameError
 
 #: default relative tolerance for accepting a matrix as hermitian
 HERMITIAN_TOL = 1e-10
-#: default relative singularity threshold for invert()
-SINGULAR_TOL = 1e-12
 #: grid size (even) and golden-section iterations of the numerical-range sweep
 THETA_STEPS = 720
 REFINE_ITERS = 30
@@ -45,21 +43,6 @@ def _square_matrix(a) -> np.ndarray:
     return m
 
 
-def min_singular(M) -> float:
-    """inf over unit vectors f of ||M f||.
-
-    Equals the smallest singular value for square or tall matrices and 0 for
-    wide ones (their kernel is nontrivial).
-    """
-    m = as_matrix(M)
-    if m.size == 0:
-        raise EmptyMatrixError("matrix has no entries")
-    rows, cols = m.shape
-    if cols > rows:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
 def op_norm(M) -> float:
     """Operator (spectral) norm, the largest singular value."""
     m = as_matrix(M)
@@ -75,24 +58,14 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def invert(M, tol: float = SINGULAR_TOL) -> np.ndarray:
-    """Inverse of a square matrix.
-
-    Raises ``SingularMatrixError`` when sigma_min <= tol * sigma_max, i.e.
-    the condition number exceeds 1/tol. For inputs passing that gate the
-    residual ||M M^-1 - I|| is on the order of cond(M) * machine epsilon.
-    A negative or non-finite ``tol`` raises ``ValueError``.
-    """
-    _check_tol(tol)
-    m = _square_matrix(M)
-    if m.size == 0:
-        raise EmptyMatrixError("matrix has no entries")
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[-1] <= tol * svals[0]:
-        raise SingularMatrixError(
-            f"sigma_min = {svals[-1]:.3e} below threshold {tol:.1e} * {svals[0]:.3e}"
-        )
-    return np.linalg.inv(m)
+def _product(name: str, a: np.ndarray, b: np.ndarray, scale=None) -> np.ndarray:
+    """(a * scale) @ b, or a @ b without ``scale``; an entry beyond the
+    floating-point range raises ``PairFrameError`` naming the operator."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (a if scale is None else a * scale) @ b
+    if not np.isfinite(out).all():
+        raise PairFrameError(f"{name} overflows: its entries exceed the floating-point range")
+    return out
 
 
 def _rotated_eigvalsh(m: np.ndarray, mh: np.ndarray, theta: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Brute-force reference computations on tiny spheres.
+"""Brute-force reference computations on tiny spheres, for the tests.
 
 Independent of the optimization- and eigenvalue-based fast paths, these
 oracles evaluate objectives on a dense deterministic sample of the complex
@@ -16,8 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .errors import DimensionTooLargeError
-from .spectral import as_matrix
+from pairframe.spectral import as_matrix
 
 _SOBOL_SEED = 20240215
 _ZOOM_SEED = 915587
@@ -40,12 +39,8 @@ class OracleConfig:
 
 
 def _check_dim(dim: int) -> None:
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim > 3:
-        raise DimensionTooLargeError(
-            f"dense sphere sampling is limited to dim <= 3, got {dim}"
-        )
+    if not 1 <= dim <= 3:
+        raise ValueError(f"dense sphere sampling needs 1 <= dim <= 3, got {dim}")
 
 
 def _sobol_sphere(dim: int, n: int) -> np.ndarray:

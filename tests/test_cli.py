@@ -89,6 +89,41 @@ def test_non_finite_file_exits_2(tmp_path, text, where):
     assert b"Traceback" not in proc.stderr
 
 
+HUGE_VECTORS = (
+    '{"format_version": "1", "dim": 2, "vectors": '
+    "[[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]}"
+)
+HUGE_WEIGHTS = (
+    '{"format_version": "1", "dim": 2, "vectors": '
+    "[[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [10.0, 0.0]]], "
+    '"weights": [[1e308, 0.0], [1e308, 0.0]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        (HUGE_VECTORS, ["frame", "analyze"]),
+        (HUGE_VECTORS, ["dual"]),
+        (HUGE_VECTORS, ["pair", "analyze"]),
+        (HUGE_VECTORS, ["neumann"]),
+        (HUGE_WEIGHTS, ["pair", "analyze"]),
+        (HUGE_WEIGHTS, ["neumann"]),
+    ],
+    ids=["vectors-frame", "vectors-dual", "vectors-pair", "vectors-neumann",
+         "weights-pair", "weights-neumann"],
+)
+def test_overflowing_operator_exits_2(tmp_path, capsys, text, command):
+    """Finite entries whose operator overflows raise a named error instead
+    of a wrong verdict, a traceback or an SVD that does not converge; any
+    RuntimeWarning on the way fails the suite."""
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([*command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "operator overflows" in err
+
+
 def test_unsupported_version_exits_2():
     run_cli("frame", "analyze", str(FIX / "badversion.json"), check_exit=2)
 

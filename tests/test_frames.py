@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -17,6 +19,7 @@ from pairframe import (
     GenSpec,
     NotAFrameError,
     OperatorFamily,
+    PairFrameError,
     analysis,
     canonical_dual,
     classify,
@@ -226,17 +229,29 @@ def test_classify_rejects_negative_or_non_finite_tol(tol):
         classify(fam, tol=tol)
 
 
+@pytest.mark.parametrize("op", [frame_operator, classify, canonical_dual])
+def test_overflowing_frame_operator_raises(op):
+    """A family of finite entries whose S leaves the floating-point range
+    raises PairFrameError, with no RuntimeWarning on the way."""
+    fam = OperatorFamily.from_vectors(1e200 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PairFrameError, match="frame operator overflows"):
+            op(fam)
+
+
 @pytest.mark.parametrize(
     "op, want",
     [
         (classify, {"eigvalsh": 1, "svd": 1, "solve": 0, "inv": 0}),
-        (canonical_dual, {"eigvalsh": 1, "svd": 1, "solve": 1, "inv": 0}),
+        (canonical_dual, {"eigvalsh": 1, "svd": 0, "solve": 1, "inv": 0}),
     ],
     ids=["classify", "canonical_dual"],
 )
 def test_frame_operator_is_factored_once(monkeypatch, op, want):
-    """One eigvalsh of S decides the verdict, bounds and certificates, one
-    SVD measures the residual and the dual is one solve; nothing inverts S."""
+    """One eigvalsh of S decides the verdict, bounds and certificates; one
+    SVD measures the residual that only classify reports, and the dual is
+    one solve; nothing inverts S."""
     fam = OperatorFamily.from_vectors(complex_noise(rng_for(64), (256, 64)))
     calls = dict.fromkeys(want, 0)
 
@@ -304,6 +319,22 @@ def test_canonical_dual_reconstruction():
             f = complex_noise(rng, 5)
             rec = synthesis(dual, analysis(fam, f))
             assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonical_dual_is_an_involution_when_well_conditioned(seed):
+    """The dual's frame operator is S^-1 S S^-1 = S^-1, so the dual of the
+    dual is L S^-1 S = L: the family itself, member by member."""
+    rng = rng_for(810 + seed)
+    n = int(rng.integers(1, 9))
+    while True:
+        fam = random_gframe_family(rng, n, n + int(rng.integers(0, 4)))
+        lam = np.linalg.eigvalsh(frame_operator(fam))
+        if lam[-1] <= 1e6 * lam[0]:
+            break
+    twice = canonical_dual(canonical_dual(fam))
+    assert twice.codims == fam.codims
+    assert np.abs(twice.stacked - fam.stacked).max() <= 1e-8 * np.abs(fam.stacked).max()
 
 
 def test_canonical_dual_rejects_non_frame():

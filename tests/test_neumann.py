@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import complex_noise, family_for, rng_for
 from numpy.testing import assert_allclose
+from oracle import brute_numerical_range
 
 from pairframe import (
     DimensionMismatchError,
@@ -32,7 +33,6 @@ from pairframe.neumann import (
     _clip,
     _cuts,
 )
-from pairframe.oracle import brute_numerical_range
 
 EPS = np.finfo(np.float64).eps
 

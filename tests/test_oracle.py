@@ -1,23 +1,33 @@
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from conftest import rng_for, src_env
+from oracle import OracleConfig, brute_numerical_range, sphere_extremes
+from test_cli import GOLDEN_CASES
 
-from pairframe import DimensionTooLargeError, numerical_range_bounds
-from pairframe.oracle import OracleConfig, brute_numerical_range, sphere_extremes
+from pairframe import numerical_range_bounds
 
 FAST = OracleConfig(sphere_samples=20_000, theta_samples=1024)
 
 
 def test_package_import_leaves_scipy_unloaded():
-    """Only pairframe.oracle needs scipy; the package and its CLI do not load it."""
-    code = "import sys, pairframe, pairframe.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, check=True, env=src_env()
+    """The package runs on numpy alone: a child interpreter imports it, runs
+    every golden CLI command through ``cli.main``, and has still not loaded
+    scipy, which only this reference oracle needs."""
+    code = (
+        "import contextlib, io, json, sys, pairframe, pairframe.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [pairframe.cli.main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules]))"
     )
-    assert proc.stdout.strip() == b"False"
+    commands = json.dumps([list(args) for args, _ in GOLDEN_CASES])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, commands], capture_output=True, check=True, env=src_env()
+    )
+    assert json.loads(proc.stdout) == [[0] * len(GOLDEN_CASES), False]
 
 
 def test_config_validation():
@@ -28,9 +38,9 @@ def test_config_validation():
 
 
 def test_dimension_guard():
-    with pytest.raises(DimensionTooLargeError):
+    with pytest.raises(ValueError, match="dim <= 3"):
         sphere_extremes(lambda f: 0.0, 4)
-    with pytest.raises(DimensionTooLargeError):
+    with pytest.raises(ValueError, match="dim <= 3"):
         brute_numerical_range(np.eye(4))
     with pytest.raises(ValueError):
         sphere_extremes(lambda f: 0.0, 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from pairframe import (
     GenSpec,
     InvalidExponentError,
     OperatorFamily,
+    PairFrameError,
     PairSystem,
     WeightSequence,
     adjoint_check,
@@ -20,7 +23,6 @@ from pairframe import (
     frame_operator,
     generate,
     generate_pair,
-    min_singular,
     op_norm,
     p_bessel_bound,
     pair_operator,
@@ -118,8 +120,41 @@ def test_classify_pair_positive_system_matches_frame_bounds():
     assert_allclose(rep.framelike_lower, evals[0], atol=1e-9)
     assert_allclose(rep.framelike_upper, evals[-1], atol=1e-9)
     assert rep.condition_number == pytest.approx(evals[-1] / evals[0], rel=1e-8)
-    assert rep.op_norm == op_norm(rep.S) and rep.min_singular == min_singular(rep.S)
+    assert rep.op_norm == op_norm(rep.S)
+    assert rep.min_singular == np.linalg.svd(rep.S, compute_uv=False)[-1]
     assert_allclose([rep.min_singular, rep.op_norm], [evals[0], evals[-1]], rtol=1e-10)
+
+
+def test_min_singular_hand_values():
+    """Matching orthonormal families make S the diagonal of the weights;
+    fewer members than dimensions leave S singular."""
+    basis = OperatorFamily.from_vectors(np.eye(2))
+    rep = classify_pair(PairSystem([2.0, 5.0], basis, basis))
+    assert_allclose([rep.min_singular, rep.op_norm], [2.0, 5.0])
+    short = OperatorFamily.from_vectors(np.eye(3)[:2])
+    rep = classify_pair(PairSystem([2.0, 5.0], short, short))
+    assert rep.min_singular == 0.0 and rep.op_norm == pytest.approx(5.0)
+    assert not rep.is_pair_frame
+
+
+@pytest.mark.parametrize("small", [0.0, 1e-14], ids=["singular", "tiny"])
+def test_classify_pair_rejects_singular_operator(small):
+    """sigma_min at or below PAIR_TOL * sigma_max is no pair frame and has
+    no condition number."""
+    basis = OperatorFamily.from_vectors(np.eye(2))
+    rep = classify_pair(PairSystem([1.0, small], basis, basis))
+    assert not rep.is_pair_frame and rep.condition_number is None
+    assert rep.min_singular == pytest.approx(small, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_min_singular_matches_adjoint_system(seed):
+    """The adjoint system's operator is S^H, which has the singular values of S."""
+    sys = random_pair_system(800 + seed)
+    rep, adj = classify_pair(sys), classify_pair(sys.adjoint_system())
+    assert abs(rep.min_singular - adj.min_singular) <= 1e-10
+    assert abs(rep.op_norm - adj.op_norm) <= 1e-10 * max(1.0, rep.op_norm)
+    assert rep.is_pair_frame == adj.is_pair_frame
 
 
 def test_positive_framelike_lower_implies_pair_frame():
@@ -232,6 +267,26 @@ def test_weights_absorb_into_gamma():
     flat = PairSystem(np.ones(sys.count), absorbed_gamma, sys.lam)
     a, b = pair_operator(sys), pair_operator(flat)
     assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def test_overflow_raises_pair_frame_error():
+    """Finite inputs whose pair operator, composed family or p-Bessel
+    estimate leaves the floating-point range raise PairFrameError naming
+    it, with no RuntimeWarning on the way."""
+    basis = OperatorFamily.from_vectors(np.eye(2))
+    tens = OperatorFamily.from_vectors(10.0 * np.eye(2))
+    cases = [
+        (lambda: pair_operator(PairSystem([1e308, 1e308], tens, tens)), "pair operator"),
+        (lambda: compose(PairSystem([1.0, 1.0], tens, basis), 1e308 * np.eye(2), np.eye(2)),
+         "composed gamma"),
+        (lambda: p_bessel_bound(OperatorFamily.from_vectors(1e110 * np.eye(2)), 3.0),
+         "p-Bessel estimate"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name in cases:
+            with pytest.raises(PairFrameError, match=f"{name} overflows"):
+                call()
 
 
 def test_p_bessel_orthonormal_values():

@@ -5,84 +5,12 @@ import pytest
 from conftest import complex_noise, rng_for
 from numpy.testing import assert_allclose
 
-from pairframe import (
-    EmptyMatrixError,
-    NonSquareError,
-    SingularMatrixError,
-    invert,
-    min_singular,
-    numerical_range_bounds,
-    op_norm,
-)
-
-
-def test_min_singular_wide_matrix_is_zero():
-    assert min_singular(np.ones((2, 4))) == 0.0
-
-
-def test_min_singular_tall_and_square():
-    m = np.diag([2.0, 5.0])
-    assert_allclose(min_singular(m), 2.0)
-    tall = np.vstack([np.eye(2), np.zeros((1, 2))])
-    assert_allclose(min_singular(tall), 1.0)
-
-
-def test_min_singular_empty_raises():
-    with pytest.raises(EmptyMatrixError):
-        min_singular(np.zeros((0, 0)))
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_min_singular_matches_adjoint_for_square(seed):
-    rng = rng_for(800 + seed)
-    n = int(rng.integers(1, 9))
-    m = complex_noise(rng, (n, n))
-    assert abs(min_singular(m) - min_singular(m.conj().T)) <= 1e-10
+from pairframe import numerical_range_bounds, op_norm
 
 
 def test_op_norm_values():
     assert op_norm(np.zeros((0, 0))) == 0.0
     assert_allclose(op_norm(np.diag([1.0, -4.0])), 4.0)
-
-
-def test_invert_roundtrip():
-    rng = rng_for(1)
-    m = complex_noise(rng, (6, 6)) + 3 * np.eye(6)
-    inv = invert(m)
-    assert op_norm(m @ inv - np.eye(6)) < 1e-12
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_invert_is_an_involution_when_well_conditioned(seed):
-    rng = rng_for(810 + seed)
-    n = int(rng.integers(1, 9))
-    while True:
-        m = complex_noise(rng, (n, n))
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[0] <= 1e6 * sv[-1]:
-            break
-    assert op_norm(invert(invert(m)) - m) <= 1e-8
-
-
-def test_invert_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        invert(np.diag([1.0, 0.0]))
-    with pytest.raises(SingularMatrixError):
-        invert(np.diag([1.0, 1e-14]))
-
-
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("m", [np.diag([1.0, 0.0]), np.diag([1.0, 1e-300])], ids=["singular", "tiny"])
-def test_invert_rejects_negative_or_non_finite_tol(m, tol):
-    """A NaN or negative threshold passes every matrix, singular ones
-    included, and inf fails every one."""
-    with pytest.raises(ValueError, match="tol"):
-        invert(m, tol=tol)
-
-
-def test_invert_nonsquare_raises():
-    with pytest.raises(NonSquareError):
-        invert(np.ones((2, 3)))
 
 
 def test_numerical_range_identity():
