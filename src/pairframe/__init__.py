@@ -49,7 +49,9 @@ from .pairs import (
     pq_pair_norm_bound,
 )
 from .spectral import (
+    NumericalRangeBracket,
     numerical_range_bounds,
+    numerical_range_bracket,
     op_norm,
 )
 
@@ -93,4 +95,6 @@ __all__ = [
     "generate_pair",
     "op_norm",
     "numerical_range_bounds",
+    "NumericalRangeBracket",
+    "numerical_range_bracket",
 ]

@@ -95,15 +95,6 @@ class OperatorFamily:
     def total_codim(self) -> int:
         return sum(self.codims)
 
-    def split_blocks(self, h) -> list:
-        """Cut a stacked coefficient vector back into per-member blocks."""
-        h = np.asarray(h, dtype=np.complex128)
-        if h.shape != (self.total_codim,):
-            raise DimensionMismatchError(
-                f"expected a coefficient vector of length {self.total_codim}, got shape {h.shape}"
-            )
-        return [h[o : o + d] for o, d in zip(self.offsets, self.codims)]
-
 
 def analysis(family: OperatorFamily, f) -> np.ndarray:
     """Stacked coefficient vector (L_1 f, ..., L_N f) of total length D."""

@@ -136,8 +136,10 @@ class PairReport:
 
     ``framelike_lower``/``framelike_upper`` are the optimal constants of the
     two-sided bound on |<S f, f>| over unit vectors, read off the numerical
-    range. A positive lower constant forces invertibility, but not the other
-    way around: ``is_pair_frame`` can hold with framelike_lower = 0.
+    range: the lower ends of their brackets, whose wider width is
+    ``framelike_gap`` (see :func:`spectral.numerical_range_bracket`). A
+    positive lower constant forces invertibility, but not the other way
+    around: ``is_pair_frame`` can hold with framelike_lower = 0.
     ``op_norm`` and ``min_singular`` are the largest and smallest singular
     values of S.
     """
@@ -149,6 +151,7 @@ class PairReport:
     condition_number: float | None
     framelike_lower: float
     framelike_upper: float
+    framelike_gap: float
     adjoint_residual: float
 
 
@@ -157,23 +160,25 @@ def classify_pair(system: PairSystem, tol: float = PAIR_TOL) -> PairReport:
 
     The verdict is sigma_min(S) > tol * sigma_max(S); the frame-like
     constants are the distance of the numerical range of S from the origin
-    and the numerical radius. A negative or non-finite ``tol`` raises
-    ``ValueError``.
+    and the numerical radius, bracketed by
+    :func:`spectral.numerical_range_bracket` with the norm from the one SVD.
+    A negative or non-finite ``tol`` raises ``ValueError``.
     """
     spectral._check_tol(tol)
     s = pair_operator(system)
     svals = np.linalg.svd(s, compute_uv=False)
     onorm, smin = float(svals[0]), float(svals[-1])
     invertible = smin > tol * onorm
-    dist, radius = spectral.numerical_range_bounds(s)
+    nr = spectral._numerical_range_bracket(s, onorm)
     return PairReport(
         S=s,
         op_norm=onorm,
         min_singular=smin,
         is_pair_frame=invertible,
         condition_number=(onorm / smin) if invertible else None,
-        framelike_lower=dist,
-        framelike_upper=radius,
+        framelike_lower=nr.dist_lo,
+        framelike_upper=nr.radius_lo,
+        framelike_gap=nr.gap,
         adjoint_residual=_adjoint_residual(system, s),
     )
 
@@ -314,7 +319,8 @@ def pq_pair_norm_bound(
     With B and B' the :func:`p_bessel_bound` estimates for Gamma (p) and
     Lambda (q), ``holder_bound`` is sup|m_i| * B^(1/p) * B'^(1/q), the form
     the Cauchy-Schwarz/Hoelder chain yields. It dominates norm(S) only for
-    the exact constants, and these estimates are lower ones (ROADMAP item 7).
+    the exact constants, and these estimates are lower ones, so it is not a
+    proven upper bound on norm(S).
     ``paper_bound`` is the square root of the same expression, reported for
     comparison; it may fall below norm(S).
     """

@@ -38,6 +38,7 @@ GOLDEN_CASES = [
         "pair_analyze_swap.json",
     ),
     (("pair", "analyze", str(FIX / "diag13_pair.json")), "pair_analyze_diag13.txt"),
+    (("pair", "analyze", str(FIX / "complex_weights.json")), "pair_analyze_complex_weights.txt"),
     (("neumann", str(FIX / "diag13_pair.json"), "--N", "6"), "neumann_diag13.txt"),
     (
         ("neumann", str(FIX / "diag13_pair.json"), "--N", "4",
@@ -289,41 +290,73 @@ def test_tol_rejects_non_finite_or_negative_with_exit_2(args):
     assert b"Traceback" not in proc.stderr
 
 
-def _complex_weights_file(tmp_path):
-    """A non-hermitian near-identity system: S = diag(1, 0.8i, 0.5 + 0.5i)."""
-    basis = OperatorFamily.from_vectors(np.eye(3))
-    doc = fileformat.FrameDocument(
-        dim=3, lam=basis, lam_encoding=fileformat.vector_encoding(basis),
-        weights=WeightSequence([1.0, 0.8j, 0.5 + 0.5j]),
-    )
-    path = tmp_path / "complex_weights.json"
-    path.write_text(fileformat.serialize_document(doc))
-    return path
+#: a non-hermitian near-identity system: S = diag(1, 0.8i, 0.5 + 0.5i)
+COMPLEX_WEIGHTS = FIX / "complex_weights.json"
 
 
-def test_pair_analyze_sweeps_the_numerical_range_once(tmp_path, monkeypatch, capsys):
-    """A non-hermitian near-identity system: the report takes one
-    support-function sweep (THETA_STEPS/2 grid solves, then two
-    golden-section refinements of 2*REFINE_ITERS solves each), and
-    find_alpha adds none."""
-    path = _complex_weights_file(tmp_path)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+def _count_solves(monkeypatch) -> dict:
+    """Count the eigvalsh and eigh calls made from here on."""
+    counts = {"eigvalsh": 0, "eigh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
 
-    def counting_eigvalsh(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def _recording(fn, log: list):
+    """``fn``, appending each of its results to ``log``."""
+
+    def wrapper(*args):
+        log.append(fn(*args))
+        return log[-1]
+
+    return wrapper
+
+
+def _pair_analyze_recorded(monkeypatch, path) -> tuple:
+    """Run ``pair analyze`` on ``path`` and return every numerical-range
+    bracket and find_alpha report it made."""
+    brackets, alphas = [], []
+    monkeypatch.setattr(spectral, "_numerical_range_bracket",
+                        _recording(spectral._numerical_range_bracket, brackets))
+    monkeypatch.setattr(neumann, "find_alpha", _recording(neumann.find_alpha, alphas))
     assert cli.main(["pair", "analyze", str(path)]) == 0
+    return brackets, alphas
+
+
+def test_pair_analyze_brackets_the_numerical_range_once(monkeypatch, capsys):
+    """A non-hermitian system: the report takes one numerical-range bracket
+    of at most 64 solves (a sweep takes 480), and find_alpha adds one eigh
+    per cut and nothing else."""
+    counts = _count_solves(monkeypatch)
+    (bracket,), (near,) = _pair_analyze_recorded(monkeypatch, COMPLEX_WEIGHTS)
     assert "near identity: yes" in capsys.readouterr().out
-    assert len(calls) == spectral.THETA_STEPS // 2 + 4 * spectral.REFINE_ITERS
+    assert bracket.solves <= 64
+    assert counts["eigvalsh"] + counts["eigh"] == bracket.solves + near.cuts
 
 
-def test_pair_analyze_builds_s_once_plus_the_adjoint_check(tmp_path, monkeypatch, capsys):
+def test_pair_analyze_sweeps_a_hermitian_numerical_range_once(monkeypatch, capsys):
+    """A hermitian system keeps the support-function sweep (THETA_STEPS/2
+    grid solves, then two golden-section refinements of 2*REFINE_ITERS
+    solves each); find_alpha's closed form adds one eigvalsh."""
+    counts = _count_solves(monkeypatch)
+    (bracket,), (near,) = _pair_analyze_recorded(monkeypatch, FIX / "diag13_pair.json")
+    assert "near identity: yes" in capsys.readouterr().out
+    sweep = spectral.THETA_STEPS // 2 + 4 * spectral.REFINE_ITERS
+    assert bracket.solves == sweep
+    assert near.method == "closed form"
+    assert counts == {"eigvalsh": sweep + 1, "eigh": 0}
+
+
+def test_pair_analyze_builds_s_once_plus_the_adjoint_check(monkeypatch, capsys):
     """classify_pair builds S once and the swapped system once; find_alpha
     reads the report's S."""
-    path = _complex_weights_file(tmp_path)
+    path = COMPLEX_WEIGHTS
     calls = []
     pair_operator = pairs.pair_operator
 

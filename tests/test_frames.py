@@ -97,9 +97,6 @@ def test_offsets_and_blocks():
     assert fam.codims == (2, 1, 3)
     assert fam.offsets == (0, 2, 3)
     assert fam.total_codim == 6
-    blocks = fam.split_blocks(np.arange(6, dtype=complex))
-    assert [len(b) for b in blocks] == [2, 1, 3]
-    assert_allclose(blocks[1], [2.0])
 
 
 def test_analysis_orthonormal_basis():

@@ -23,6 +23,7 @@ from pairframe import (
     frame_operator,
     generate,
     generate_pair,
+    numerical_range_bracket,
     op_norm,
     p_bessel_bound,
     pair_operator,
@@ -200,6 +201,24 @@ def test_framelike_constants_spectral_consistency():
         # and the numerical radius sits in [norm/2, norm]
         assert rep.framelike_lower <= smin + 1e-9
         assert norm / 2 - 1e-9 <= rep.framelike_upper <= norm + 1e-9
+
+
+def test_framelike_gap_is_the_bracket_width():
+    """framelike_gap is the wider width of the numerical-range bracket of S:
+    at most 1e-13 * norm(S) plus the n * eps pad for a non-hermitian S, and
+    norm_F(S - S^H)/2 for a hermitian one."""
+    eps = np.finfo(float).eps
+    for seed in range(6):
+        sys = random_pair_system(500 + seed)
+        rep = classify_pair(sys)
+        bracket = numerical_range_bracket(rep.S)
+        assert rep.framelike_gap == bracket.gap
+        assert (rep.framelike_lower, rep.framelike_upper) == (bracket.dist_lo, bracket.radius_lo)
+        assert rep.framelike_gap <= (1e-13 + sys.ambient_dim * eps) * rep.op_norm
+    fam = generate(GenSpec("random_frame", dim=3, count=6, seed=9))
+    rep = classify_pair(PairSystem([1.0, 2.0, 0.5, 1.5, 1.0, 3.0], fam, fam))
+    half_skew = 0.5 * np.linalg.norm(rep.S - rep.S.conj().T)
+    assert rep.framelike_gap == pytest.approx(half_skew, abs=4 * eps * rep.op_norm)
 
 
 def test_compose_identity_is_noop():
