@@ -80,6 +80,17 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}") from None
 
 
+def _order(text: str) -> int:
+    """argparse type for --N: an integer with 0 <= N <= sys.maxsize."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if not 0 <= n <= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, {sys.maxsize}], got {text!r}")
+    return n
+
+
 def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
@@ -193,9 +204,6 @@ def _signal_for(args, dim: int):
 
 
 def cmd_neumann(args) -> int:
-    if args.N < 0:
-        print(f"error: --N must be >= 0, got {args.N}", file=sys.stderr)
-        return 2
     doc = fileformat.load_document(args.path)
     signal = _signal_for(args, doc.dim)
     s = pair_operator(doc.pair_system())
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     ne = sub.add_parser("neumann", help="Neumann-series decay table")
     ne.add_argument("path")
     ne.add_argument("--alpha", default="auto", help="'auto' or a complex scalar ('re' or 're+imi')")
-    ne.add_argument("--N", type=int, default=10, help="largest truncation order")
+    ne.add_argument("--N", type=_order, default=10, help="largest truncation order")
     ne.add_argument("--signal", default=None, help="signal file path or random:SEED")
     ne.add_argument("--format", choices=("text", "json"), default="text")
     ne.set_defaults(func=cmd_neumann)

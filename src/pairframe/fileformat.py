@@ -13,6 +13,10 @@ Optional keys: ``"weights"`` (complex list, one per member, defaults to
 ones) and ``"gamma"`` (an object holding the second family under the same
 two encodings).
 
+A signal file is {"format_version": "1", "dim": n, "vector": [...]}. Both
+kinds share one header reader (a JSON object with no unknown keys,
+format_version "1", a positive integer dim) and one UTF-8 file opener.
+
 Parse and validation problems raise :class:`FrameFileError`; size clashes
 between declared and actual dimensions raise ``DimensionMismatchError``.
 Serialization keeps full double precision, so parse/serialize round-trips
@@ -47,6 +51,7 @@ from .pairs import PairSystem, WeightSequence
 FORMAT_VERSION = "1"
 
 _ROOT_KEYS = {"format_version", "dim", "vectors", "operators", "weights", "gamma"}
+_SIGNAL_KEYS = {"format_version", "dim", "vector"}
 _FAMILY_KEYS = {"vectors", "operators"}
 
 
@@ -153,17 +158,24 @@ def _family_in(node: dict, dim: int, where: str) -> tuple[OperatorFamily, str]:
     return OperatorFamily(members, dim), encoding
 
 
-def parse_document(text: str) -> FrameDocument:
-    """Parse and validate one frame file from its text."""
+def _object(node, keys: set, where: str) -> dict:
+    """``node`` itself when it is a JSON object with no key outside ``keys``."""
+    if not isinstance(node, dict):
+        raise FrameFileError(f"{where} must be an object")
+    unknown = set(node) - keys
+    if unknown:
+        raise FrameFileError(f"{where}: unknown keys {sorted(unknown)}")
+    return node
+
+
+def _header(text: str, keys: set) -> tuple[dict, int]:
+    """The top-level object of a frame or signal file and its dim, after the
+    rules both kinds share: valid JSON, an object, no key outside ``keys``,
+    format_version FORMAT_VERSION and a positive integer dim."""
     try:
-        root = json.loads(text)
+        root = _object(json.loads(text), keys, "top level")
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"not valid JSON: {exc}") from None
-    if not isinstance(root, dict):
-        raise FrameFileError("top level must be an object")
-    unknown = set(root) - _ROOT_KEYS
-    if unknown:
-        raise FrameFileError(f"unknown keys {sorted(unknown)}")
     if root.get("format_version") != FORMAT_VERSION:
         raise FrameFileError(
             f"format_version {root.get('format_version')!r} unsupported, expected {FORMAT_VERSION!r}"
@@ -171,47 +183,45 @@ def parse_document(text: str) -> FrameDocument:
     dim = root.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FrameFileError(f"dim must be a positive integer, got {dim!r}")
+    return root, dim
 
+
+def _read(path, parse):
+    """``parse`` of the text of the UTF-8 file at ``path``; a file that
+    cannot be read or decoded raises FrameFileError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FrameFileError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FrameFileError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    return parse(text)
+
+
+def parse_document(text: str) -> FrameDocument:
+    """Parse and validate one frame file from its text."""
+    root, dim = _header(text, _ROOT_KEYS)
     lam, lam_encoding = _family_in(root, dim, "$")
 
     gamma = gamma_encoding = None
     if "gamma" in root:
-        if not isinstance(root["gamma"], dict):
-            raise FrameFileError("gamma must be an object")
-        extra = set(root["gamma"]) - _FAMILY_KEYS
-        if extra:
-            raise FrameFileError(f"gamma: unknown keys {sorted(extra)}")
-        gamma, gamma_encoding = _family_in(root["gamma"], dim, "gamma")
+        gamma_node = _object(root["gamma"], _FAMILY_KEYS, "gamma")
+        gamma, gamma_encoding = _family_in(gamma_node, dim, "gamma")
 
     weights = None
     if "weights" in root:
-        vals = _pairs_in(root["weights"], 2)
-        if vals is None:
-            if not isinstance(root["weights"], list):
-                raise FrameFileError("weights must be a list of complex values")
-            vals = [_complex_in(w, f"weights[{k}]") for k, w in enumerate(root["weights"])]
-        if not len(vals):  # a weight sequence is nonempty, a family too
+        if root["weights"] == []:  # a weight sequence is nonempty, a family too
             raise DimensionMismatchError(f"0 weights for {lam.count} members")
-        weights = WeightSequence(vals)
+        weights = WeightSequence(_vector_in(root["weights"], "weights"))
 
-    doc = FrameDocument(
-        dim=dim,
-        lam=lam,
-        lam_encoding=lam_encoding,
-        gamma=gamma,
-        gamma_encoding=gamma_encoding,
-        weights=weights,
-    )
+    doc = FrameDocument(dim, lam, lam_encoding, gamma, gamma_encoding, weights)
     doc.pair_system()  # member counts and row counts must match: DimensionMismatchError
     return doc
 
 
 def load_document(path) -> FrameDocument:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_document(fh.read())
-    except OSError as exc:
-        raise FrameFileError(f"cannot read {path}: {exc.strerror}") from None
+    return _read(path, parse_document)
 
 
 _NUM = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
@@ -284,15 +294,7 @@ def serialize_document(doc: FrameDocument) -> str:
 
 def parse_signal(text: str) -> np.ndarray:
     """Parse a signal file: {"format_version": "1", "dim": n, "vector": [...]}."""
-    try:
-        root = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FrameFileError(f"not valid JSON: {exc}") from None
-    if not isinstance(root, dict) or root.get("format_version") != FORMAT_VERSION:
-        raise FrameFileError("signal file must be an object with format_version '1'")
-    dim = root.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FrameFileError(f"dim must be a positive integer, got {dim!r}")
+    root, dim = _header(text, _SIGNAL_KEYS)
     vec = _vector_in(root.get("vector"), "vector")
     if len(vec) != dim:
         raise DimensionMismatchError(f"signal has {len(vec)} entries, declared dim {dim}")
@@ -300,8 +302,4 @@ def parse_signal(text: str) -> np.ndarray:
 
 
 def load_signal(path) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_signal(fh.read())
-    except OSError as exc:
-        raise FrameFileError(f"cannot read {path}: {exc.strerror}") from None
+    return _read(path, parse_signal)

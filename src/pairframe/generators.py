@@ -17,18 +17,6 @@ from .errors import InvalidSpecError
 from .frames import OperatorFamily, frame_operator
 from .pairs import PairSystem, WeightSequence
 
-KINDS = (
-    "orthonormal",
-    "mercedes",
-    "harmonic",
-    "random_frame",
-    "random_gframe",
-    "weighted",
-    "swap_fixture",
-    "rank_deficient",
-    "prescribed_spectrum",
-)
-
 #: random_frame resamples until lambda_min exceeds this fraction of lambda_max
 _RANDOM_FRAME_FLOOR = 0.05
 _RANDOM_FRAME_ATTEMPTS = 64
@@ -49,8 +37,8 @@ def _rng(spec: GenSpec) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(spec.seed))
 
 
-def _check(spec: GenSpec, allowed_params=()) -> int:
-    if spec.kind not in KINDS:
+def _check(spec: GenSpec) -> int:
+    if spec.kind not in _KINDS:
         raise InvalidSpecError(f"unknown kind {spec.kind!r}; expected one of {KINDS}")
     if spec.dim < 1:
         raise InvalidSpecError(f"dim must be >= 1, got {spec.dim}")
@@ -58,7 +46,7 @@ def _check(spec: GenSpec, allowed_params=()) -> int:
         raise InvalidSpecError(f"count must be >= 1, got {spec.count}")
     if spec.seed < 0:
         raise InvalidSpecError(f"seed must be >= 0, got {spec.seed}")
-    extra = set(spec.params) - set(allowed_params)
+    extra = set(spec.params) - set(_KINDS[spec.kind][1])
     if extra:
         raise InvalidSpecError(f"kind {spec.kind!r} does not accept params {sorted(extra)}")
     return spec.count if spec.count is not None else _default_count(spec)
@@ -107,8 +95,8 @@ def generate(spec: GenSpec) -> OperatorFamily:
       in params ``eigenvalues`` (dim positive reals); members beyond dim are
       zero rows.
     """
-    count = _check(spec, allowed_params=_ALLOWED_PARAMS.get(spec.kind, ()))
-    return _BUILDERS[spec.kind](spec, count)
+    count = _check(spec)
+    return _KINDS[spec.kind][0](spec, count)
 
 
 def _gen_orthonormal(spec: GenSpec, count: int) -> OperatorFamily:
@@ -213,23 +201,19 @@ def _gen_prescribed_spectrum(spec: GenSpec, count: int) -> OperatorFamily:
     return OperatorFamily.from_vectors(vectors, spec.dim)
 
 
-_BUILDERS = {
-    "orthonormal": _gen_orthonormal,
-    "mercedes": _gen_mercedes,
-    "harmonic": _gen_harmonic,
-    "random_frame": _gen_random_frame,
-    "random_gframe": _gen_random_gframe,
-    "weighted": _gen_weighted,
-    "swap_fixture": _gen_swap_fixture,
-    "rank_deficient": _gen_rank_deficient,
-    "prescribed_spectrum": _gen_prescribed_spectrum,
+#: kind -> (builder, params it accepts), in the order ``gen --help`` lists them
+_KINDS = {
+    "orthonormal": (_gen_orthonormal, ()),
+    "mercedes": (_gen_mercedes, ()),
+    "harmonic": (_gen_harmonic, ()),
+    "random_frame": (_gen_random_frame, ()),
+    "random_gframe": (_gen_random_gframe, ("codim", "codims")),
+    "weighted": (_gen_weighted, ("scales",)),
+    "swap_fixture": (_gen_swap_fixture, ()),
+    "rank_deficient": (_gen_rank_deficient, ()),
+    "prescribed_spectrum": (_gen_prescribed_spectrum, ("eigenvalues",)),
 }
-
-_ALLOWED_PARAMS = {
-    "random_gframe": ("codim", "codims"),
-    "weighted": ("scales",),
-    "prescribed_spectrum": ("eigenvalues",),
-}
+KINDS = tuple(_KINDS)
 
 
 def generate_pair(

@@ -160,7 +160,8 @@ def _cuts(s: np.ndarray, onorm: float) -> tuple[complex, float, float, int]:
 def find_alpha(S) -> NearIdentityReport:
     """Scalar alpha minimizing norm(I - alpha*S), with verdicts.
 
-    Hermitian definite S gets the classical optimum
+    S is hermitian when norm_F(S - S^H) <= HERMITIAN_TOL * norm(S), as in
+    the numerical-range bracket. Hermitian definite S gets the classical optimum
     alpha = 2/(lambda_min + lambda_max) in closed form, the minimum over
     every complex alpha; any other hermitian S has 0 in its numerical range,
     so no alpha brings the residual below 1. A hermitian S whose closed form
@@ -191,9 +192,10 @@ def find_alpha(S) -> NearIdentityReport:
     ``residual_gap`` is the residual minus the certified lower bound: LB on
     the cut path, 1 for a hermitian S that is not definite, and for
     hermitian definite S the optimum (lmax - lmin)/|lmax + lmin| of its
-    hermitian part less norm(S - S^H)/norm(S) and the rounding allowance:
-    any alpha with residual <= 1 has |alpha| <= 2/norm(S), so the skew part
-    moves its residual by at most that much.
+    hermitian part less norm_F(S - S^H)/norm(S) and the rounding allowance:
+    any alpha with residual <= 1 has |alpha| <= 2/norm(S), and the skew part
+    (S - S^H)/2 has norm at most norm_F(S - S^H)/2, so it moves the residual
+    by at most that much.
     """
     s = spectral._square_matrix(S)
     onorm = spectral.op_norm(s)
@@ -203,13 +205,11 @@ def find_alpha(S) -> NearIdentityReport:
             method="closed form", cuts=0, residual_gap=0.0,
         )
 
-    sh = s.conj().T
     # a hermitian S that is not definite has 0 in W(S): the infimum is 1
     best_alpha, best_res, lb, cuts, method = 0j, 1.0, 1.0, 0, "closed form"
-    skew = spectral.op_norm(s - sh)
-    hermitian = skew <= spectral.HERMITIAN_TOL * onorm
+    skew, hermitian = spectral._hermitian_skew(s, onorm)
     if hermitian:
-        w = np.linalg.eigvalsh(0.5 * (s + sh))
+        w = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
         lmin, lmax = float(w[0]), float(w[-1])
         if lmin > 0.0 or lmax < 0.0:
             alpha = 2.0 / (lmin + lmax)

@@ -77,6 +77,13 @@ def _product(name: str, a: np.ndarray, b: np.ndarray, scale=None) -> np.ndarray:
     return out
 
 
+def _hermitian_skew(m: np.ndarray, norm: float) -> tuple[float, bool]:
+    """(norm_F(M - M^H), whether it is at most HERMITIAN_TOL * norm): the one
+    hermitian test; norm_F bounds norm(M - M^H), so it is the stricter."""
+    skew = float(np.linalg.norm(m - m.conj().T))
+    return skew, skew <= HERMITIAN_TOL * norm
+
+
 def _rotated(m: np.ndarray, mh: np.ndarray, theta: float) -> np.ndarray:
     """Re(e^{i theta} M) = (e^{i theta} M + e^{-i theta} M^H)/2."""
     phase = np.exp(1j * theta)
@@ -137,8 +144,8 @@ def _numerical_range_bracket(m: np.ndarray, norm: float) -> NumericalRangeBracke
     if n == 0:
         return NumericalRangeBracket(0.0, 0.0, 0.0, 0.0, 0)
     mh = m.conj().T
-    skew = float(np.linalg.norm(m - mh))
-    if skew <= HERMITIAN_TOL * norm:
+    skew, hermitian = _hermitian_skew(m, norm)
+    if hermitian:
         dist, radius = _sweep(m, mh)
         pad = 0.5 * skew
         return NumericalRangeBracket(dist, dist + pad, radius, radius + pad, _SWEEP_SOLVES)

@@ -183,6 +183,24 @@ def test_neumann_bad_signal_spec_exits_2():
     run_cli("neumann", str(FIX / "diag13_pair.json"), "--signal", "random:x", check_exit=2)
 
 
+def test_neumann_signal_with_unknown_key_exits_2(tmp_path):
+    sig = tmp_path / "signal.json"
+    sig.write_text(json.dumps({
+        "format_version": "1", "dim": 2, "vector": [[1.0, 0.0], [0.0, -1.0]], "extra": 1,
+    }), encoding="utf-8")
+    proc = run_cli("neumann", str(FIX / "diag13_pair.json"), "--signal", str(sig), check_exit=2)
+    assert b"unknown keys ['extra']" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff" + (FIX / "mercedes.json").read_bytes())
+    proc = run_cli("frame", "analyze", str(path), check_exit=2)
+    assert b"not UTF-8" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_neumann_signal_dimension_clash_exits_3():
     proc = run_cli(
         "gen", "orthonormal", "--dim", "3", "--out", str(FIX / "_tmp_o3.json")
@@ -251,6 +269,7 @@ def test_neumann_zero_signal_rows_report_zero_error(tmp_path, monkeypatch, capsy
     "args",
     [
         ("--N", "-1"),
+        ("--N", "100000000000000000000"),
         ("--alpha", "nan"),
         ("--alpha", "1e400"),
         ("--alpha", "1e308"),
@@ -259,6 +278,7 @@ def test_neumann_zero_signal_rows_report_zero_error(tmp_path, monkeypatch, capsy
     ],
     ids=[
         "negative-N",
+        "N-beyond-maxsize",
         "nan-alpha",
         "overflowing-alpha",
         "alpha-times-S-overflows",

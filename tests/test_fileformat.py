@@ -317,10 +317,27 @@ def test_load_document_missing_file(tmp_path):
         load_document(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("load", [load_document, load_signal])
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path, load):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"format_version": "1", "dim": 1, "vector": [[1.0, 0.0]], "x": "\xe9"}')
+    with pytest.raises(FrameFileError, match="not UTF-8"):
+        load(p)
+
+
 def test_load_document_reads_utf8(tmp_path):
     p = tmp_path / "fam.json"
     p.write_text(MERCEDES_TEXT, encoding="utf-8")
     assert load_document(p).lam.count == 3
+
+
+def test_signal_rejects_unknown_keys():
+    """A signal file follows the frame file's header rules, unknown keys
+    included."""
+    with pytest.raises(FrameFileError, match=r"unknown keys \['extra'\]"):
+        parse_signal(json.dumps({
+            "format_version": "1", "dim": 2, "vector": [[1.0, 0.0], [0.0, 1.0]], "extra": 1,
+        }))
 
 
 def test_signal_round_trip(tmp_path):
@@ -341,6 +358,10 @@ def test_signal_validation():
         parse_signal(json.dumps({
             "format_version": "1", "dim": 3, "vector": [[1.0, 0.0]],
         }))
+    with pytest.raises(FrameFileError, match="format_version"):
+        parse_signal(json.dumps({"format_version": "2", "dim": 1, "vector": [[1.0, 0.0]]}))
+    with pytest.raises(FrameFileError, match="dim must be a positive integer"):
+        parse_signal(json.dumps({"format_version": "1", "dim": True, "vector": [[1.0, 0.0]]}))
     for bad in BAD_VALUES + NON_FINITE:
         with pytest.raises(FrameFileError, match=r"vector\[1\]"):
             parse_signal(json.dumps({

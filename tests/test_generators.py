@@ -16,10 +16,11 @@ from pairframe.generators import KINDS
 
 
 def test_kind_catalogue_is_complete():
-    assert set(KINDS) == {
+    """In this order: ``gen --help`` lists the kinds as KINDS holds them."""
+    assert KINDS == (
         "orthonormal", "mercedes", "harmonic", "random_frame", "random_gframe",
         "weighted", "swap_fixture", "rank_deficient", "prescribed_spectrum",
-    }
+    )
 
 
 def test_spec_validation():
@@ -33,6 +34,8 @@ def test_spec_validation():
         generate(GenSpec("random_frame", dim=2, count=3, seed=-1))
     with pytest.raises(InvalidSpecError):
         generate(GenSpec("orthonormal", dim=2, params={"bogus": 1}))
+    with pytest.raises(InvalidSpecError, match=r"does not accept params \['codim'\]"):
+        generate(GenSpec("weighted", dim=2, params={"scales": [1.0, 2.0], "codim": 2}))
 
 
 def test_same_spec_is_bit_identical():

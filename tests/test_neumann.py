@@ -23,6 +23,7 @@ from pairframe import (
     numerical_range_bounds,
     op_norm,
     reconstruct,
+    spectral,
 )
 from pairframe.neumann import (
     ALPHA_CUTS,
@@ -87,6 +88,28 @@ def test_find_alpha_nearly_hermitian_closed_form_gap_is_certified():
     assert attained < rep.residual
     assert rep.residual - rep.residual_gap <= attained
     assert rep.residual_gap <= 4.0 * op_norm(s - s.conj().T) / op_norm(s)
+
+
+def test_find_alpha_shares_the_bracket_hermitian_test():
+    """S = H + i c I at n = 16 with c = 3e-11 norm(H): its skew is
+    6e-11 norm(S) in the spectral norm, under HERMITIAN_TOL, but
+    2.4e-10 norm(S) in the Frobenius norm, over it. The bracket and
+    find_alpha share the Frobenius test, so both treat S as non-hermitian:
+    the bracket takes its adaptive solves and find_alpha the cuts, whose
+    certified lower bound stays below the residual of H's own optimum."""
+    n = 16
+    rng = rng_for(16)
+    a = complex_noise(rng, (n, n))
+    h = a @ a.conj().T + 0.5 * np.eye(n)
+    s = h + 3e-11j * op_norm(h) * np.eye(n)
+    skew = s - s.conj().T
+    assert op_norm(skew) < spectral.HERMITIAN_TOL * op_norm(s) < np.linalg.norm(skew)
+    assert spectral.numerical_range_bracket(s).solves < spectral.THETA_STEPS // 2
+    rep = find_alpha(s)
+    assert rep.method == "cuts"
+    w = np.linalg.eigvalsh(h)
+    alpha_h = 2.0 / (w[0] + w[-1])
+    assert rep.residual - rep.residual_gap <= op_norm(np.eye(n) - alpha_h * s)
 
 
 def test_find_alpha_diag13():
@@ -186,9 +209,8 @@ def test_find_alpha_rotated_singular_projection():
 def test_find_alpha_hermitian_not_near_identity_skips_the_cuts(monkeypatch, s):
     """For hermitian S the closed form is the optimum over every alpha, or
     the infimum is 1, so a hermitian S whose closed form misses the guard
-    goes straight to the ring: the norm, the hermitian test, at most the
-    closed form's residual and the HOPELESS_RING ring points, one SVD each,
-    and no cut."""
+    goes straight to the ring: the norm, at most the closed form's residual
+    and the HOPELESS_RING ring points, one SVD each, and no cut."""
     svds = []
     svd = np.linalg.svd
 
@@ -201,7 +223,7 @@ def test_find_alpha_hermitian_not_near_identity_skips_the_cuts(monkeypatch, s):
     monkeypatch.undo()
     assert not rep.is_near_identity
     assert_ring_point(s, rep)
-    assert len(svds) <= 3 + HOPELESS_RING
+    assert len(svds) <= 2 + HOPELESS_RING
 
 
 @pytest.mark.parametrize("seed", [67, 68, 69])
@@ -310,10 +332,10 @@ def test_find_alpha_verdict_matches_oracle_numerical_range():
 
 
 def test_find_alpha_takes_no_eigvalsh_and_few_svds(monkeypatch):
-    """A non-hermitian n=32 search: no numerical-range sweep, three SVDs
-    (the norm, the hermitian test and the rescore of the best alpha) and
-    one Gram eigh per cut, stopped by the certified gap well before
-    ALPHA_CUTS (the 80-cut search took 82 SVDs)."""
+    """A non-hermitian n=32 search: no numerical-range sweep, two SVDs
+    (the norm and the rescore of the best alpha; the hermitian test is a
+    Frobenius norm) and one Gram eigh per cut, stopped by the certified gap
+    well before ALPHA_CUTS (the 80-cut search took 82 SVDs)."""
     s = np.eye(32) + 0.3 * complex_noise(rng_for(32), (32, 32)) / np.sqrt(32)
     calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
 
@@ -333,7 +355,7 @@ def test_find_alpha_takes_no_eigvalsh_and_few_svds(monkeypatch):
     assert rep.is_near_identity and not rep.is_positive_variant
     assert rep.method == "cuts" and rep.cuts == calls["eigh"]
     assert calls["eigvalsh"] == 0
-    assert calls["svd"] == 3
+    assert calls["svd"] == 2
     assert calls["eigh"] <= 50
     assert rep.residual_gap <= ALPHA_GAP * rep.residual
 
