@@ -264,11 +264,11 @@ def neumann_inverse(S, alpha: complex, N: int) -> np.ndarray:
     """Partial sum alpha * sum_{n=0}^{N} (I - alpha*S)^n by Horner iteration.
 
     Uses N matrix multiplications and no power table; with
-    norm(I - alpha*S) < 1 it converges to S^-1 as N grows. An overflow raises.
+    norm(I - alpha*S) < 1 it converges to S^-1 as N grows. N must be an
+    integer >= 0. An overflow raises.
     """
     s = spectral._square_matrix(S)
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = spectral._check_count(N, "N")
     return next(itertools.islice(_partial_sums(_step(s, alpha), alpha), N, None))
 
 
@@ -314,11 +314,10 @@ def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
     I - (S^-1)_N S = (I - alpha*S)^(N+1); disagreement beyond roundoff means
     a broken partial-sum evaluation and raises. So does a row with a term
     (partial sum, power, defect or bound residual^(N+1)) that is not finite.
+    N_max must be an integer >= 0.
     """
     s = spectral._square_matrix(S)
-    if N_max < 0:
-        raise ValueError("N_max must be >= 0")
-    return _trace(s, alpha, N_max)[0]
+    return _trace(s, alpha, spectral._check_count(N_max, "N_max"))[0]
 
 
 def reconstruct(system: PairSystem, alpha: complex, N: int, f) -> tuple[np.ndarray, float]:

@@ -216,9 +216,10 @@ def _objective_grad(
     return (r**p).sum(axis=0), grad
 
 
-def _power_step(X: np.ndarray, phi: np.ndarray, grad: np.ndarray, merge: bool) -> np.ndarray:
+def _power_step(X: np.ndarray, phi: np.ndarray, grad: np.ndarray, merge: bool) -> tuple:
     """Next iterates d/||d|| of the starts that still move (see
-    :func:`p_bessel_bound`), from unit columns X, phi(X) and the gradients.
+    :func:`p_bessel_bound`), from unit columns X, phi(X) and the gradients,
+    with the mask of the columns of X that still move.
 
     A start stops once its gradient is normal to the sphere up to
     _GRAD_TOL, and, when ``merge`` is set, once it meets up to phase a start
@@ -234,7 +235,55 @@ def _power_step(X: np.ndarray, phi: np.ndarray, grad: np.ndarray, merge: bool) -
     X, grad, inner, gnorm = X[:, moving], grad[:, moving], inner[moving], gnorm[moving]
     # monotone for any shift up to gnorm^2 / (2 inner)
     d = grad - X * (_SHIFT * gnorm**2 / (2.0 * inner))
-    return d / np.linalg.norm(d, axis=0)
+    return d / np.linalg.norm(d, axis=0), moving
+
+
+def _aitken_jump(evaluate, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, phi: np.ndarray,
+                 grad: np.ndarray) -> None:
+    """Aitken jump of each column from three successive unit iterates
+    x0, x1, x2, kept in place of x2 (with its phi and gradient) where it
+    raises phi (see :func:`p_bessel_bound`). The jumps are evaluated by
+    ``evaluate`` as one batch of their own.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.linalg.norm(x2 - x1, axis=0) / np.linalg.norm(x1 - x0, axis=0)
+    jump = np.flatnonzero((rho > 0.0) & (rho < 1.0))
+    if not jump.size:
+        return
+    r = rho[jump]
+    y = x2[:, jump] + (x2[:, jump] - x1[:, jump]) * (r / (1.0 - r))
+    y /= np.linalg.norm(y, axis=0)
+    phi_y, grad_y = evaluate(y)
+    better = phi_y > phi[jump]
+    kept = jump[better]
+    x2[:, kept], phi[kept], grad[:, kept] = y[:, better], phi_y[better], grad_y[:, better]
+
+
+def _ascent(family: OperatorFamily, p: float, X: np.ndarray) -> float:
+    """Largest phi seen by the shifted power method with merges and Aitken
+    jumps from the unit columns X (see :func:`p_bessel_bound`)."""
+    stacked = family.stacked
+    offsets = np.array(family.offsets)
+    codims = np.array(family.codims)
+
+    def evaluate(X):
+        return _objective_grad(stacked, offsets, codims, p, X)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, grad = evaluate(X)
+        best = phi.max()
+        prev = X
+        for step in range(_MAX_ITERS):
+            merge = step % _MERGE_EVERY == _MERGE_EVERY - 1
+            nxt, moving = _power_step(X, phi, grad, merge=merge)
+            if not nxt.shape[1]:
+                break
+            phi, grad = evaluate(nxt)
+            if merge:
+                _aitken_jump(evaluate, prev[:, moving], X[:, moving], nxt, phi, grad)
+            best = max(best, phi.max())
+            prev, X = X[:, moving], nxt
+    return float(best)
 
 
 def p_bessel_bound(
@@ -245,12 +294,14 @@ def p_bessel_bound(
 ) -> float:
     """Estimate of B_p = sup over unit f of sum_i ||L_i f||^p.
 
-    Shifted generalized power method on the complex unit sphere, run from
-    ``restarts`` random starts plus the top eigenvector of the frame
-    operator (exact for p = 2). Let g = sum_i p ||L_i f||^(p-2) L_i^H L_i f
-    be the gradient of phi(f) = sum_i ||L_i f||^p; members with L_i f = 0
-    contribute nothing, so p = 1 takes a subgradient. By Euler's identity
-    c = Re<g, f> = p phi(f). Each step maps f to d/||d|| with d = g - sigma f
+    At p = 2 this is the top eigenvalue of the frame operator sum_i L_i^H L_i,
+    returned with no iteration. Any other p runs a shifted generalized power
+    method on the complex unit sphere from ``restarts`` random starts, drawn
+    from ``seed``, plus the top eigenvector of the frame operator. Let
+    g = sum_i p ||L_i f||^(p-2) L_i^H L_i f be the gradient of
+    phi(f) = sum_i ||L_i f||^p; members with L_i f = 0 contribute nothing,
+    so p = 1 takes a subgradient. By Euler's identity c = Re<g, f> = p phi(f).
+    Each step maps f to d/||d|| with d = g - sigma f
     and sigma = _SHIFT ||g||^2 / (2c), which goes beyond the plain step
     g/||g|| along the same great circle. phi is convex for p >= 1, so
     phi(y) >= phi(f) + Re<g, y - f>; at y = d/||d|| the increment
@@ -261,42 +312,40 @@ def p_bessel_bound(
     Every _MERGE_EVERY steps, a moving start whose iterate has
     |<x_a, x_b>| >= 1 - _MERGE_TOL with a start of higher phi (on a tie, an
     earlier one) is retired: the step is phase-equivariant, so from there on
-    its path is the other start's path. A start stops once the tangential
-    part of g is at most _GRAD_TOL * ||g||, or after _MAX_ITERS steps.
-    Neither the step nor the merge nor the stop sees the scale of the
-    family, so B_p(cL) = |c|^p B_p(L). Every iterate is a unit vector, so
-    the largest phi seen, which is returned, is a certified lower estimate
-    of the true supremum; an estimate beyond the floating-point range
-    raises ``PairFrameError``.
+    its path is the other start's path. Each start still moving then tries
+    an Aitken jump (Aitken's delta-squared process), which removes the
+    dominant linear mode of a slowly converging path: from its iterates
+    x_(t-1), x_t and the new step x_(t+1), with
+    rho = ||x_(t+1) - x_t|| / ||x_t - x_(t-1)|| in (0, 1), the jump is
+    y = x_(t+1) + rho/(1 - rho) (x_(t+1) - x_t), normalized. The jumps are
+    evaluated as one batch, and y replaces x_(t+1) only where
+    phi(y) > phi(x_(t+1)), so no start's phi falls. A start stops once the
+    tangential part of g is at most _GRAD_TOL * ||g||, or after _MAX_ITERS
+    steps. Neither the step, the merge, the jump nor the stop sees the
+    scale of the family, so B_p(cL) = |c|^p B_p(L). Every iterate is a unit
+    vector, so the largest phi seen, which is returned, is a certified
+    lower estimate of the true supremum.
+
+    ``restarts`` must be an integer >= 1 and ``seed`` one >= 0; an estimate
+    beyond the floating-point range raises ``PairFrameError``.
     """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise InvalidExponentError(f"exponent must satisfy p >= 1, got {p}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    n = family.ambient_dim
-    stacked = family.stacked
-    offsets = np.array(family.offsets)
-    codims = np.array(family.codims)
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    starts = rng.standard_normal((n, restarts)) + 1j * rng.standard_normal((n, restarts))
-    _, top_vec = np.linalg.eigh(frame_operator(family))
-    X = np.concatenate([top_vec[:, -1:], starts], axis=1)
-    X = X / np.linalg.norm(X, axis=0)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi, grad = _objective_grad(stacked, offsets, codims, p, X)
-        best = phi.max()
-        for step in range(_MAX_ITERS):
-            X = _power_step(X, phi, grad, merge=step % _MERGE_EVERY == _MERGE_EVERY - 1)
-            if not X.shape[1]:
-                break
-            phi, grad = _objective_grad(stacked, offsets, codims, p, X)
-            best = max(best, phi.max())
+    restarts = spectral._check_count(restarts, "restarts", least=1)
+    seed = spectral._check_count(seed, "seed")
+    evals, evecs = np.linalg.eigh(frame_operator(family))
+    if p == 2.0:
+        best = float(evals[-1])
+    else:
+        n = family.ambient_dim
+        rng = np.random.Generator(np.random.PCG64(seed))
+        starts = rng.standard_normal((n, restarts)) + 1j * rng.standard_normal((n, restarts))
+        X = np.concatenate([evecs[:, -1:], starts], axis=1)
+        best = _ascent(family, p, X / np.linalg.norm(X, axis=0))
     if not math.isfinite(best):
         raise PairFrameError(f"p-Bessel estimate overflows at p = {p}")
-    return float(best)
+    return best
 
 
 class PqBoundReport(NamedTuple):

@@ -11,6 +11,7 @@ beat any iterative scheme on both robustness and determinism.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +66,18 @@ def _check_tol(tol: float) -> float:
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     return tol
+
+
+def _check_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int when it is an integer >= ``least``; a TypeError
+    or ValueError naming ``name`` otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _product(name: str, a: np.ndarray, b: np.ndarray, scale=None) -> np.ndarray:

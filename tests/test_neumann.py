@@ -512,8 +512,13 @@ def test_neumann_inverse_converges_to_inverse():
 def test_neumann_inverse_argument_validation():
     with pytest.raises(NonSquareError):
         neumann_inverse(np.ones((2, 3)), 1.0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N must be >= 0"):
         neumann_inverse(np.eye(2), 1.0, -1)
+    with pytest.raises(TypeError, match="N must be an integer, got 1.5"):
+        neumann_inverse(np.eye(2), 1.0, 1.5)
+    with pytest.raises(TypeError, match="N must be an integer, got 2.0"):
+        reconstruct(diag13_system(), 0.5, 2.0, np.ones(2))
+    assert_allclose(neumann_inverse(np.diag([1.0, 3.0]), 0.5, np.int64(1)), np.diag([0.75, 0.25]))
 
 
 # ----------------------------------------------------------------- traces
@@ -598,8 +603,10 @@ def test_overflowing_alpha_raises_in_the_library():
 def test_trace_argument_validation():
     with pytest.raises(NonSquareError):
         neumann_trace(np.ones((2, 3)), 1.0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N_max must be >= 0"):
         neumann_trace(np.eye(2), 1.0, -1)
+    with pytest.raises(TypeError, match="N_max must be an integer, got 2.0"):
+        neumann_trace(np.eye(2), 1.0, 2.0)
 
 
 # ---------------------------------------------------------- reconstruction

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,6 +327,14 @@ def test_p_bessel_two_matches_top_eigenvalue():
         assert p_bessel_bound(fam, 2.0) == pytest.approx(top, rel=1e-10)
 
 
+def test_p_bessel_two_runs_no_ascent(evaluations):
+    """At p = 2 the top eigenvalue of the frame operator is B_2 itself: no
+    start is evaluated, and the value is the eigenvalue bit for bit."""
+    fam = generate(GenSpec("random_gframe", dim=32, count=64, seed=0, params={"codim": 2}))
+    assert p_bessel_bound(fam, 2.0) == np.linalg.eigh(frame_operator(fam))[0][-1]
+    assert evaluations == []
+
+
 def test_p_bessel_is_lower_estimate():
     """No sampled unit vector beats the reported supremum estimate."""
     rng = rng_for(47)
@@ -352,36 +361,49 @@ def test_p_bessel_is_scale_equivariant(p, c):
         assert p_bessel_bound(scaled, p) == pytest.approx(c**p * p_bessel_bound(fam, p), rel=1e-12)
 
 
-def test_p_bessel_evaluates_the_family_at_most_max_iters_plus_one_times(monkeypatch):
-    """One evaluation of all starts per power step, plus the first."""
-    fam = generate(GenSpec("random_gframe", dim=32, count=64, seed=0, params={"codim": 2}))
-    calls = []
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The column count of each _objective_grad call, in call order."""
+    columns = []
     evaluate = pairs._objective_grad
 
-    def counting_evaluate(*args, **kwargs):
-        calls.append(1)
-        return evaluate(*args, **kwargs)
+    def counting_evaluate(*args):
+        columns.append(args[-1].shape[1])
+        return evaluate(*args)
 
     monkeypatch.setattr(pairs, "_objective_grad", counting_evaluate)
+    return columns
+
+
+def test_p_bessel_evaluates_once_per_step_plus_one_jump_batch_per_merge(evaluations):
+    """One evaluation of all starts per power step, plus the first, plus at
+    most one batch of Aitken jumps every _MERGE_EVERY steps."""
+    fam = generate(GenSpec("random_gframe", dim=32, count=64, seed=0, params={"codim": 2}))
     assert p_bessel_bound(fam, 3.0) > 0.0
-    assert len(calls) <= pairs._MAX_ITERS + 1
+    assert len(evaluations) <= pairs._MAX_ITERS + 1 + pairs._MAX_ITERS // pairs._MERGE_EVERY
 
 
 def _objective_args(family: OperatorFamily, p: float) -> tuple:
     return family.stacked, np.array(family.offsets), np.array(family.codims), float(p)
 
 
-def _plain_power_bound(family: OperatorFamily, p: float, restarts: int = 32, seed: int = 0) -> float:
-    """p_bessel_bound with the plain power step x <- g/||g|| and no merging
-    (the same starts, tolerance and step budget): the reference the shifted
-    iteration must not fall below."""
+def _starts(family: OperatorFamily, restarts: int, seed: int) -> np.ndarray:
+    """The unit starts of p_bessel_bound: the top eigenvector of the frame
+    operator, then ``restarts`` random ones drawn from ``seed``."""
     n = family.ambient_dim
-    args = _objective_args(family, p)
     rng = np.random.Generator(np.random.PCG64(seed))
     starts = rng.standard_normal((n, restarts)) + 1j * rng.standard_normal((n, restarts))
     _, top_vec = np.linalg.eigh(frame_operator(family))
     X = np.concatenate([top_vec[:, -1:], starts], axis=1)
-    X = X / np.linalg.norm(X, axis=0)
+    return X / np.linalg.norm(X, axis=0)
+
+
+def _plain_power_bound(family: OperatorFamily, p: float, restarts: int = 32, seed: int = 0) -> float:
+    """p_bessel_bound with the plain power step x <- g/||g|| and no merging
+    (the same starts, tolerance and step budget): the reference the shifted
+    iteration must not fall below."""
+    args = _objective_args(family, p)
+    X = _starts(family, restarts, seed)
     phi, grad = pairs._objective_grad(*args, X)
     best = phi.max()
     for _ in range(pairs._MAX_ITERS):
@@ -396,12 +418,35 @@ def _plain_power_bound(family: OperatorFamily, p: float, restarts: int = 32, see
     return float(best)
 
 
+def _unaccelerated_bound(family: OperatorFamily, p: float, restarts: int = 32, seed: int = 0) -> float:
+    """p_bessel_bound at any p without the Aitken jumps: the shifted,
+    merged iteration from the same starts, tolerance and step budget, the
+    reference the jumps must not fall below."""
+    args = _objective_args(family, p)
+    X = _starts(family, restarts, seed)
+    phi, grad = pairs._objective_grad(*args, X)
+    best = phi.max()
+    for step in range(pairs._MAX_ITERS):
+        merge = step % pairs._MERGE_EVERY == pairs._MERGE_EVERY - 1
+        X, _ = pairs._power_step(X, phi, grad, merge=merge)
+        if not X.shape[1]:
+            break
+        phi, grad = pairs._objective_grad(*args, X)
+        best = max(best, phi.max())
+    return float(best)
+
+
+def _small_corpus() -> list:
+    """13 small families with mixed codimensions."""
+    fams = [random_pair_system(2000 + k).gamma for k in range(12)]
+    fams.append(generate(GenSpec("random_gframe", dim=12, count=24, seed=3, params={"codim": 1})))
+    return fams
+
+
 def test_p_bessel_is_no_lower_than_the_plain_power_step():
     """On a fixed corpus of families and exponents, the shifted, merged
     iteration ends no lower than the plain step from the same starts."""
-    fams = [random_pair_system(2000 + k).gamma for k in range(12)]
-    fams.append(generate(GenSpec("random_gframe", dim=12, count=24, seed=3, params={"codim": 1})))
-    for k, fam in enumerate(fams):
+    for k, fam in enumerate(_small_corpus()):
         for p in (1.0, 1.5, 2.0, 3.0, 4.0):
             new = p_bessel_bound(fam, p, restarts=12, seed=k)
             old = _plain_power_bound(fam, p, restarts=12, seed=k)
@@ -423,8 +468,9 @@ def test_power_step_never_lowers_phi(p, seed):
     X /= np.linalg.norm(X, axis=0)
     phi, grad = pairs._objective_grad(*args, X)
     for _ in range(20):
-        nxt = pairs._power_step(X, phi, grad, merge=False)
-        if nxt.shape[1] < X.shape[1]:
+        nxt, moving = pairs._power_step(X, phi, grad, merge=False)
+        assert moving.shape == phi.shape and nxt.shape[1] == moving.sum()
+        if not moving.all():
             break  # a start has stopped: the columns no longer line up
         phi_next, grad = pairs._objective_grad(*args, nxt)
         assert (phi_next >= phi * (1.0 - 1e-12)).all(), (phi_next - phi) / phi
@@ -440,10 +486,11 @@ def test_power_step_retires_a_start_duplicated_up_to_phase():
     x, y = unit_vector(rng, 6), unit_vector(rng, 6)
     X = np.stack([x, np.exp(0.7j) * x, y], axis=1)
     phi, grad = pairs._objective_grad(*args, X)
-    assert pairs._power_step(X, phi, grad, merge=False).shape[1] == 3
-    kept = pairs._power_step(X, phi, grad, merge=True)
-    assert kept.shape[1] == 2
-    alone = pairs._power_step(X[:, [0, 2]], phi[[0, 2]], grad[:, [0, 2]], merge=False)
+    nxt, moving = pairs._power_step(X, phi, grad, merge=False)
+    assert nxt.shape[1] == 3 and moving.all()
+    kept, moving = pairs._power_step(X, phi, grad, merge=True)
+    assert kept.shape[1] == 2 and moving.sum() == 2 and moving[2]
+    alone, _ = pairs._power_step(X[:, [0, 2]], phi[[0, 2]], grad[:, [0, 2]], merge=False)
     assert abs(np.vdot(kept[:, 0], alone[:, 0])) == pytest.approx(1.0, abs=1e-12)
     assert_allclose(kept[:, 1], alone[:, 1], rtol=0, atol=1e-12)
 
@@ -454,24 +501,20 @@ def test_power_step_retires_a_start_duplicated_up_to_phase():
 _PLAIN_STEP_COLUMNS = 35010
 
 
-def test_p_bessel_needs_at_most_six_tenths_of_the_plain_step_evaluations(monkeypatch):
-    """Column evaluations of _objective_grad on two fixed n = 32 families at
-    p = 3 and q = 1.5: the shifted, merged iteration needs at most 0.6 of
-    the plain step's, and ends no lower."""
-    fams = [
+def _two_fixed_families() -> list:
+    return [
         generate(GenSpec("random_gframe", dim=32, count=64, seed=0, params={"codim": 2})),
         generate(GenSpec("random_gframe", dim=32, count=64, seed=1)),
     ]
-    columns = []
-    evaluate = pairs._objective_grad
 
-    def counting_evaluate(*args):
-        columns.append(args[-1].shape[1])
-        return evaluate(*args)
 
-    monkeypatch.setattr(pairs, "_objective_grad", counting_evaluate)
+def test_p_bessel_needs_at_most_six_tenths_of_the_plain_step_evaluations(evaluations):
+    """Column evaluations of _objective_grad on two fixed n = 32 families at
+    p = 3 and q = 1.5: the shifted, merged iteration needs at most 0.6 of
+    the plain step's, and ends no lower."""
+    columns = evaluations
     plain_columns = shifted_columns = 0
-    for fam in fams:
+    for fam in _two_fixed_families():
         for p in (3.0, 1.5):
             plain = _plain_power_bound(fam, p)
             plain_columns += sum(columns)
@@ -484,14 +527,114 @@ def test_p_bessel_needs_at_most_six_tenths_of_the_plain_step_evaluations(monkeyp
     assert shifted_columns <= 0.6 * _PLAIN_STEP_COLUMNS
 
 
+#: _objective_grad calls and column evaluations without the Aitken jumps
+#: over the two families of the test above at p = 3 and q = 1.5 (130 + 64 +
+#: 501 + 158 calls, 1698 + 1072 + 3936 + 2286 columns, one BLAS thread)
+_UNACCELERATED_CALLS = 853
+_UNACCELERATED_COLUMNS = 8992
+
+
+def test_aitken_jumps_save_a_third_of_the_evaluations(evaluations):
+    """On the same two families, the Aitken jumps cut both the calls of
+    _objective_grad and the columns they evaluate to at most 0.65 of the
+    unaccelerated iteration's, and the estimates end no lower."""
+    totals = {"unaccelerated": [0, 0], "jumps": [0, 0]}
+    for fam in _two_fixed_families():
+        for p in (3.0, 1.5):
+            ref = _unaccelerated_bound(fam, p)
+            totals["unaccelerated"][0] += len(evaluations)
+            totals["unaccelerated"][1] += sum(evaluations)
+            evaluations.clear()
+            assert p_bessel_bound(fam, p) >= ref * (1.0 - 1e-12)
+            totals["jumps"][0] += len(evaluations)
+            totals["jumps"][1] += sum(evaluations)
+            evaluations.clear()
+    # another BLAS may round a start's stop test a step earlier or later
+    assert totals["unaccelerated"][0] == pytest.approx(_UNACCELERATED_CALLS, rel=0.02)
+    assert totals["unaccelerated"][1] == pytest.approx(_UNACCELERATED_COLUMNS, rel=0.02)
+    assert totals["jumps"][0] <= 0.65 * _UNACCELERATED_CALLS
+    assert totals["jumps"][1] <= 0.65 * _UNACCELERATED_COLUMNS
+
+
+def test_aitken_jumps_end_no_lower_than_the_unaccelerated_iteration():
+    """On the small corpus at p in {1, 1.5, 3, 4} and on eight n = 32
+    families at p = 3 and 1.5, the estimate with the jumps is at least the
+    unaccelerated one from the same starts."""
+    cases = [(fam, p, 12, k) for k, fam in enumerate(_small_corpus()) for p in (1.0, 1.5, 3.0, 4.0)]
+    for k in range(8):
+        fam = generate(GenSpec("random_gframe", dim=32, count=64, seed=100 + k,
+                               params={"codim": 1 + k % 3}))
+        cases += [(fam, p, 32, k) for p in (3.0, 1.5)]
+    for fam, p, restarts, seed in cases:
+        new = p_bessel_bound(fam, p, restarts=restarts, seed=seed)
+        ref = _unaccelerated_bound(fam, p, restarts=restarts, seed=seed)
+        assert new >= ref * (1.0 - 1e-12), (fam.ambient_dim, p, seed, new, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_aitken_jump_never_lowers_phi(p, seed):
+    """After three power steps of random unit starts, a jump keeps every
+    column a unit vector, replaces only columns whose phi it raises, and
+    hands back the phi and gradient of the columns it leaves."""
+    rng = rng_for(seed)
+    dim = int(rng.integers(2, 9))
+    members = [complex_noise(rng, (int(d), dim)) for d in rng.integers(1, 4, int(rng.integers(1, 10)))]
+    args = _objective_args(OperatorFamily(members, dim), p)
+    X = complex_noise(rng, (dim, 6))
+    path = [X / np.linalg.norm(X, axis=0)]
+    phi, grad = pairs._objective_grad(*args, path[0])
+    for _ in range(2):
+        nxt, moving = pairs._power_step(path[-1], phi, grad, merge=False)
+        path = [x[:, moving] for x in path] + [nxt]
+        phi, grad = pairs._objective_grad(*args, nxt)
+    x0, x1, x2 = path
+    before, phi_before = x2.copy(), phi.copy()
+    pairs._aitken_jump(lambda Y: pairs._objective_grad(*args, Y), x0, x1, x2, phi, grad)
+    jumped = (x2 != before).any(axis=0)
+    assert (phi[jumped] > phi_before[jumped]).all()
+    assert (phi[~jumped] == phi_before[~jumped]).all()
+    assert_allclose(np.linalg.norm(x2, axis=0), 1.0, rtol=1e-14)
+    phi_again, grad_again = pairs._objective_grad(*args, x2)
+    assert_allclose(phi, phi_again, rtol=1e-12)
+    assert_allclose(grad, grad_again, rtol=1e-12, atol=1e-12 * np.abs(grad_again).max())
+
+
+def test_pq_bound_memory_peak_on_a_near_identity_system():
+    """One Hoelder bound at p = 3 and q = 1.5 of an n = 32 system of 64
+    members with codimensions 1-3, Lambda near Gamma, allocates at most
+    0.6 MB at its peak: the Aitken jumps are a batch of their own, at most
+    as wide as the starts still moving."""
+    rng = rng_for(61)
+    codims = [int(d) for d in rng.integers(1, 4, size=64)]
+    gamma = generate(GenSpec("random_gframe", dim=32, count=64, seed=61, params={"codims": codims}))
+    lam = OperatorFamily([g + 0.05 * complex_noise(rng, g.shape) / np.sqrt(g.size)
+                          for g in gamma.members], 32)
+    system = PairSystem(np.exp(1j * rng.uniform(-0.3, 0.3, size=64)), gamma, lam)
+    tracemalloc.start()
+    try:
+        pq_pair_norm_bound(system, 3.0, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6e6
+
+
 def test_p_bessel_rejects_bad_arguments():
     basis = OperatorFamily.from_vectors(np.eye(2))
     with pytest.raises(InvalidExponentError):
         p_bessel_bound(basis, 0.5)
     with pytest.raises(InvalidExponentError):
         p_bessel_bound(basis, float("nan"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
         p_bessel_bound(basis, 2.0, restarts=0)
+    with pytest.raises(TypeError, match="restarts must be an integer, got 2.5"):
+        p_bessel_bound(basis, 3.0, restarts=2.5)
+    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+        p_bessel_bound(basis, 3.0, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        p_bessel_bound(basis, 3.0, seed=-1)
+    assert p_bessel_bound(basis, 4.0, restarts=np.int64(2), seed=np.uint8(1)) == pytest.approx(1.0)
 
 
 def test_pq_bound_mercedes():
