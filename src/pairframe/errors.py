@@ -2,7 +2,14 @@
 
 All library-specific failures derive from :class:`PairFrameError` so callers
 can catch one base class. Plain ``ValueError``/``TypeError`` are still used
-for garden-variety argument abuse (wrong types, nonsense counts).
+for garden-variety argument abuse. Each bad argument raises one error:
+
+- a vector, coefficient vector or signal of the wrong length:
+  :class:`DimensionMismatchError`;
+- a non-finite entry in a vector or matrix argument: ``ValueError``;
+- a count (``N``, ``restarts``, ``seed``) that is not an integer:
+  ``TypeError``; one below its least value: ``ValueError``; both name it;
+- a malformed generator spec, its sizes included: :class:`InvalidSpecError`.
 """
 
 

@@ -33,16 +33,11 @@ class OperatorFamily:
     stacked: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, members: Sequence, ambient_dim: int | None = None):
-        if isinstance(members, np.ndarray) and members.ndim == 3:
-            # members of one shape, converted and checked in one pass
-            count, rows, width = members.shape
-            mats = [spectral.as_matrix(members.reshape(count * rows, width))] if count else []
-            codims = [rows] * count
-        else:
-            mats = [spectral.as_matrix(raw) for raw in members]
-            codims = [len(m) for m in mats]
-        for k, d in enumerate(codims):
-            if d < 1:
+        mats = [np.asarray(raw, dtype=np.complex128) for raw in members]
+        for k, m in enumerate(mats):
+            if m.ndim != 2:
+                raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+            if len(m) < 1:
                 raise ValueError(f"member {k} has no rows")
         if not mats:
             raise ValueError("family needs at least one member")
@@ -54,10 +49,12 @@ class OperatorFamily:
                 raise DimensionMismatchError(
                     f"member {k} has {m.shape[1]} columns, ambient dimension is {n}"
                 )
-        stacked = np.vstack(mats)
+        # concatenate copies, so freezing the stack never freezes a caller's array
+        stacked = spectral.as_matrix(np.concatenate(mats))
         stacked.flags.writeable = False
         object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "stacked", stacked)
+        codims = [len(m) for m in mats]
         starts = itertools.accumulate(codims, initial=0)
         members = tuple(stacked[s : s + d] for s, d in zip(starts, codims))
         object.__setattr__(self, "members", members)
@@ -98,21 +95,12 @@ class OperatorFamily:
 
 def analysis(family: OperatorFamily, f) -> np.ndarray:
     """Stacked coefficient vector (L_1 f, ..., L_N f) of total length D."""
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (family.ambient_dim,):
-        raise DimensionMismatchError(
-            f"expected a vector of length {family.ambient_dim}, got shape {f.shape}"
-        )
-    return family.stacked @ f
+    return family.stacked @ spectral._vector(f, family.ambient_dim, "vector")
 
 
 def synthesis(family: OperatorFamily, h) -> np.ndarray:
     """Adjoint of analysis: sum of L_i^H h_i over the blocks of h."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (family.total_codim,):
-        raise DimensionMismatchError(
-            f"expected a coefficient vector of length {family.total_codim}, got shape {h.shape}"
-        )
+    h = spectral._vector(h, family.total_codim, "coefficient vector")
     return family.stacked.conj().T @ h
 
 
@@ -154,7 +142,7 @@ class ClassificationReport:
 def _regroup(family: OperatorFamily, stacked: np.ndarray) -> OperatorFamily:
     """Family whose stacked rows are ``stacked``, cut as ``family``'s are."""
     codims = family.codims
-    if len(set(codims)) == 1:  # one shape: converted and checked as one array
+    if len(set(codims)) == 1:  # one shape: the members are the planes of a 3-D view
         return OperatorFamily(stacked.reshape(family.count, codims[0], -1))
     return OperatorFamily(np.split(stacked, family.offsets[1:]))
 

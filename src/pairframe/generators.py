@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral
 from .errors import InvalidSpecError
 from .frames import OperatorFamily, frame_operator
 from .pairs import PairSystem, WeightSequence
@@ -37,19 +38,24 @@ def _rng(spec: GenSpec) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(spec.seed))
 
 
+def _spec_count(value, name: str, least: int) -> int:
+    """:func:`spectral._check_count`, its failure raised as InvalidSpecError."""
+    try:
+        return spectral._check_count(value, name, least)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(str(exc)) from None
+
+
 def _check(spec: GenSpec) -> int:
     if spec.kind not in _KINDS:
         raise InvalidSpecError(f"unknown kind {spec.kind!r}; expected one of {KINDS}")
-    if spec.dim < 1:
-        raise InvalidSpecError(f"dim must be >= 1, got {spec.dim}")
-    if spec.count is not None and spec.count < 1:
-        raise InvalidSpecError(f"count must be >= 1, got {spec.count}")
-    if spec.seed < 0:
-        raise InvalidSpecError(f"seed must be >= 0, got {spec.seed}")
+    _spec_count(spec.dim, "dim", 1)
+    count = _default_count(spec) if spec.count is None else _spec_count(spec.count, "count", 1)
+    _spec_count(spec.seed, "seed", 0)
     extra = set(spec.params) - set(_KINDS[spec.kind][1])
     if extra:
         raise InvalidSpecError(f"kind {spec.kind!r} does not accept params {sorted(extra)}")
-    return spec.count if spec.count is not None else _default_count(spec)
+    return count
 
 
 def _default_count(spec: GenSpec) -> int:
@@ -149,10 +155,10 @@ def _gen_random_frame(spec: GenSpec, count: int) -> OperatorFamily:
 def _gen_random_gframe(spec: GenSpec, count: int) -> OperatorFamily:
     codims = spec.params.get("codims")
     if codims is None:
-        codims = [int(spec.params.get("codim", 2))] * count
-    codims = [int(d) for d in codims]
-    if len(codims) != count or any(d < 1 for d in codims):
+        codims = [_spec_count(spec.params.get("codim", 2), "codim", 1)] * count
+    if len(codims) != count:
         raise InvalidSpecError(f"codims must be {count} positive counts, got {codims}")
+    codims = [_spec_count(d, f"codims[{k}]", 1) for k, d in enumerate(codims)]
     rng = _rng(spec)
     members = []
     for d in codims:

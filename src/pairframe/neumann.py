@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .errors import DimensionMismatchError, PairFrameError
+from .errors import PairFrameError
 from .pairs import PairSystem, pair_operator
 
 #: residual must clear 1 by this margin before the near-identity verdict;
@@ -325,13 +325,10 @@ def reconstruct(system: PairSystem, alpha: complex, N: int, f) -> tuple[np.ndarr
 
     Returns the approximation and its relative error, which obeys the same
     geometric bound residual^(N+1) as the operator defect; f = 0 reports
-    error 0 by convention.
+    error 0 by convention. An f of the wrong length raises
+    ``DimensionMismatchError``, a non-finite entry ``ValueError``.
     """
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (system.ambient_dim,):
-        raise DimensionMismatchError(
-            f"expected a signal of length {system.ambient_dim}, got shape {f.shape}"
-        )
+    f = spectral._vector(f, system.ambient_dim, "signal")
     s = pair_operator(system)
     approx = neumann_inverse(s, alpha, N) @ (s @ f)
     return approx, _relative_error(approx, f)

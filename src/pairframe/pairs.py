@@ -371,7 +371,8 @@ def pq_pair_norm_bound(
     the exact constants, and these estimates are lower ones, so it is not a
     proven upper bound on norm(S).
     ``paper_bound`` is the square root of the same expression, reported for
-    comparison; it may fall below norm(S).
+    comparison; it may fall below norm(S). ``seed`` (Gamma's; Lambda takes
+    seed + 1) must be an integer >= 0.
     """
     p = float(p)
     q = float(q)
@@ -379,6 +380,7 @@ def pq_pair_norm_bound(
         raise InvalidExponentError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
     if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise ExponentMismatchError(f"1/p + 1/q = {1.0 / p + 1.0 / q!r}, expected 1")
+    seed = spectral._check_count(seed, "seed")
     b_gamma = p_bessel_bound(system.gamma, p, restarts=restarts, seed=seed)
     b_lam = p_bessel_bound(system.lam, q, restarts=restarts, seed=seed + 1)
     holder = system.m.sup_norm * b_gamma ** (1.0 / p) * b_lam ** (1.0 / q)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonSquareError, PairFrameError
+from .errors import DimensionMismatchError, NonSquareError, PairFrameError
 
 #: default relative tolerance for accepting a matrix as hermitian
 HERMITIAN_TOL = 1e-10
@@ -43,6 +43,18 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _vector(v, length: int, name: str) -> np.ndarray:
+    """The 1-D twin of :func:`as_matrix`: ``v`` as a complex128 vector of
+    ``length`` entries, DimensionMismatchError naming ``name`` for any other
+    shape and ValueError for a non-finite entry."""
+    f = np.asarray(v, dtype=np.complex128)
+    if f.shape != (length,):
+        raise DimensionMismatchError(f"expected a {name} of length {length}, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return f
 
 
 def _square_matrix(a) -> np.ndarray:

@@ -14,11 +14,11 @@ FIX = HERE / "fixtures"
 GOLD = HERE / "golden"
 
 
-def run_cli(*args, check_exit=0):
+def run_cli(*args, check_exit=0, **env):
     proc = subprocess.run(
         [sys.executable, "-m", "pairframe.cli", *args],
         capture_output=True,
-        env=src_env(),
+        env={**src_env(), **env},
     )
     if check_exit is not None:
         assert proc.returncode == check_exit, proc.stderr.decode()
@@ -56,8 +56,11 @@ GOLDEN_CASES = [
 
 @pytest.mark.parametrize("args,golden", GOLDEN_CASES, ids=[g for _, g in GOLDEN_CASES])
 def test_golden_outputs(args, golden):
-    proc = run_cli(*args)
+    """Byte-identical stdout and nothing on stderr; the child turns every
+    warning into an error, which pyproject's filter does not reach."""
+    proc = run_cli(*args, PYTHONWARNINGS="error")
     assert proc.stdout == (GOLD / golden).read_bytes()
+    assert proc.stderr == b""
 
 
 def test_parse_failure_exits_2():

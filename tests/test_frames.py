@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from pairframe import (
     DimensionMismatchError,
+    PairSystem,
     GenSpec,
     NotAFrameError,
     OperatorFamily,
@@ -25,6 +26,8 @@ from pairframe import (
     classify,
     frame_operator,
     generate,
+    compose,
+    spectral,
     synthesis,
 )
 
@@ -71,6 +74,53 @@ def test_from_vectors_errors():
         OperatorFamily.from_vectors(np.empty((0, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         OperatorFamily.from_vectors([[1.0, np.nan]])
+
+
+def test_every_family_build_checks_finiteness_once(monkeypatch):
+    """Lists, arrays of one shape, ragged vectors, duals and compositions all
+    take the one construction path: one as_matrix on the stacked family."""
+    calls = []
+    as_matrix = spectral.as_matrix
+
+    def counting_as_matrix(a):
+        calls.append(np.shape(a))
+        return as_matrix(a)
+
+    rng = rng_for(21)
+    mixed = random_gframe_family(rng, 3, 5)
+    harmonic = generate(GenSpec("harmonic", dim=3, count=5))
+    monkeypatch.setattr(spectral, "as_matrix", counting_as_matrix)
+    builds = [
+        lambda: OperatorFamily([complex_noise(rng, (d, 3)) for d in (2, 1, 3)]),
+        lambda: OperatorFamily(complex_noise(rng, (4, 2, 3))),
+        lambda: OperatorFamily.from_vectors(complex_noise(rng, (6, 3))),
+        lambda: OperatorFamily.from_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        lambda: canonical_dual(harmonic),
+        lambda: canonical_dual(mixed),
+    ]
+    for build in builds:
+        calls.clear()
+        fam = build()
+        assert calls == [fam.stacked.shape]
+    system = PairSystem(np.ones(5), mixed, mixed)
+    calls.clear()
+    composed = compose(system, np.eye(3), 2.0 * np.eye(3))
+    assert calls == [(3, 3), (3, 3), composed.gamma.stacked.shape, composed.lam.stacked.shape]
+
+
+def test_family_errors_name_the_member():
+    with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+        OperatorFamily([np.ones((1, 2)), np.ones(2)])
+    with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=3"):
+        OperatorFamily(np.ones((1, 1, 1, 2)))
+    with pytest.raises(ValueError, match="member 1 has no rows"):
+        OperatorFamily([np.ones((1, 2)), np.ones((0, 2))])
+    with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+        OperatorFamily([np.ones((1, 2))], 0)
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        OperatorFamily([np.ones((1, 2)), [[np.inf, 0.0]]])
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        OperatorFamily(np.full((2, 1, 2), np.nan))
 
 
 def test_members_are_immutable():
@@ -120,6 +170,23 @@ def test_analysis_dimension_mismatch():
         analysis(fam, [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError):
         synthesis(fam, [1.0, 2.0, 3.0])
+    fam = random_gframe_family(rng_for(8), 3, 4)
+    with pytest.raises(DimensionMismatchError, match=r"expected a vector of length 3, got shape \(3, 1\)"):
+        analysis(fam, np.ones((3, 1)))
+    with pytest.raises(
+        DimensionMismatchError,
+        match=rf"expected a coefficient vector of length {fam.total_codim}, got shape \(3,\)",
+    ):
+        synthesis(fam, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_analysis_and_synthesis_reject_non_finite_entries(bad):
+    fam = OperatorFamily.from_vectors(np.eye(2))
+    with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+        analysis(fam, [1.0, bad])
+    with pytest.raises(ValueError, match="^coefficient vector has non-finite entries$"):
+        synthesis(fam, [bad, 1.0])
 
 
 def test_synthesis_orthonormal_basis():

@@ -38,6 +38,40 @@ def test_spec_validation():
         generate(GenSpec("weighted", dim=2, params={"scales": [1.0, 2.0], "codim": 2}))
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (GenSpec("harmonic", dim=3, count=4.5), "count must be an integer, got 4.5"),
+        (GenSpec("random_frame", dim=2.0, count=4), "dim must be an integer, got 2.0"),
+        (GenSpec("orthonormal", dim=2, seed=1.0), "seed must be an integer, got 1.0"),
+        (GenSpec("orthonormal", dim=0), "dim must be >= 1, got 0"),
+        (GenSpec("harmonic", dim=2, count=0), "count must be >= 1, got 0"),
+        (GenSpec("random_frame", dim=2, count=3, seed=-1), "seed must be >= 0, got -1"),
+        (GenSpec("random_gframe", dim=3, count=2, params={"codim": 1.7}),
+         "codim must be an integer, got 1.7"),
+        (GenSpec("random_gframe", dim=3, count=2, params={"codim": 0}), "codim must be >= 1, got 0"),
+        (GenSpec("random_gframe", dim=3, count=2, params={"codims": [1, 2.0]}),
+         r"codims\[1\] must be an integer, got 2.0"),
+        (GenSpec("random_gframe", dim=3, count=2, params={"codims": [1, 0]}),
+         r"codims\[1\] must be >= 1, got 0"),
+    ],
+)
+def test_spec_sizes_must_be_integers(spec, message):
+    """dim, count, seed and codims take the library's integer rule: a float
+    is refused, not rounded or truncated into a different family."""
+    with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+        generate(spec)
+
+
+def test_spec_sizes_accept_numpy_integers():
+    spec = GenSpec("random_gframe", dim=np.int64(3), count=np.uint8(2), seed=np.int32(4),
+                   params={"codims": [np.int64(1), 2]})
+    fam = generate(spec)
+    assert fam.codims == (1, 2) and fam.ambient_dim == 3
+    same = generate(GenSpec("random_gframe", dim=3, count=2, seed=4, params={"codims": [1, 2]}))
+    assert fam.stacked.tobytes() == same.stacked.tobytes()
+
+
 def test_same_spec_is_bit_identical():
     for spec in (
         GenSpec("random_frame", dim=5, count=9, seed=123),

@@ -637,3 +637,15 @@ def test_reconstruct_zero_signal():
 def test_reconstruct_dimension_check():
     with pytest.raises(DimensionMismatchError):
         reconstruct(diag13_system(), 0.5, 3, np.ones(3))
+    with pytest.raises(DimensionMismatchError, match=r"expected a signal of length 2, got shape \(1, 2\)"):
+        reconstruct(diag13_system(), 0.5, 3, np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reconstruct_rejects_a_non_finite_signal(bad):
+    """A NaN entry used to report relative error 0.0 (the NaN norm of f read
+    as the f = 0 convention) and an infinite one a warning and NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^signal has non-finite entries$"):
+            reconstruct(diag13_system(), 0.5, 5, [bad, 1.0])

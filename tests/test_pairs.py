@@ -656,6 +656,20 @@ def test_pq_bound_dominates_norm():
         assert rep.paper_bound == pytest.approx(np.sqrt(rep.holder_bound))
 
 
+def test_pq_bound_seed_takes_the_integer_rule():
+    """A numpy seed is read as its value before Lambda's seed + 1 is formed,
+    so np.uint8(255) gives 256 there, not a wrapped 0 and a warning."""
+    sys = random_pair_system(52, dim=3, count=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = pq_pair_norm_bound(sys, 3.0, 1.5, restarts=4, seed=np.uint8(255))
+    assert rep == pq_pair_norm_bound(sys, 3.0, 1.5, restarts=4, seed=255)
+    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+        pq_pair_norm_bound(sys, 2.0, 2.0, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        pq_pair_norm_bound(sys, 2.0, 2.0, seed=-1)
+
+
 def test_pq_bound_exponent_validation():
     sys = random_pair_system(51)
     with pytest.raises(InvalidExponentError):
