@@ -19,7 +19,6 @@ carry full double precision with complex numbers as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 
@@ -29,6 +28,7 @@ from . import fileformat, generators, neumann, pairs, spectral
 from .errors import (
     DimensionMismatchError,
     FrameFileError,
+    InvalidSpecError,
     NotAFrameError,
     PairFrameError,
 )
@@ -60,35 +60,27 @@ def _yesno(flag: bool) -> str:
 
 def _parse_alpha(text: str) -> complex:
     try:
-        alpha = complex(text.strip().replace("i", "j"))
+        return neumann._check_alpha(complex(text.strip().replace("i", "j")))
     except ValueError:
-        raise FrameFileError(f"cannot parse alpha {text!r}; use 're' or 're+imi'") from None
-    if not cmath.isfinite(alpha):
-        raise FrameFileError(f"alpha must be finite, got {text!r}")
-    return alpha
+        raise FrameFileError(f"alpha must be a finite 're' or 're+imi', got {text!r}") from None
 
 
 def _tolerance(text: str) -> float:
     """argparse type for --tol: a finite number >= 0."""
     try:
-        tol = float(text)
+        return spectral._check_tol(float(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    try:
-        return spectral._check_tol(tol)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
 def _order(text: str) -> int:
-    """argparse type for --N: an integer with 0 <= N <= sys.maxsize."""
+    """argparse type for --N: an integer in [0, neumann.MAX_ORDER]."""
     try:
-        n = int(text)
+        return neumann._check_order(int(text), "N")
     except ValueError:
-        n = -1
-    if not 0 <= n <= sys.maxsize:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, {sys.maxsize}], got {text!r}")
-    return n
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, {neumann.MAX_ORDER}], got {text!r}"
+        ) from None
 
 
 def _emit(lines) -> None:
@@ -190,17 +182,14 @@ def _signal_for(args, dim: int):
         return None
     if args.signal.startswith("random:"):
         try:
-            seed = int(args.signal.split(":", 1)[1])
+            seed = spectral._check_count(int(args.signal.split(":", 1)[1]), "seed")
         except ValueError:
-            raise FrameFileError(f"bad signal argument {args.signal!r}; use random:SEED") from None
-        if seed < 0:
-            raise FrameFileError("signal seed must be >= 0")
+            raise FrameFileError(
+                f"bad signal argument {args.signal!r}; use random:SEED with an integer SEED >= 0"
+            ) from None
         rng = np.random.Generator(np.random.PCG64(seed))
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    vec = fileformat.load_signal(args.signal)
-    if len(vec) != dim:
-        raise DimensionMismatchError(f"signal lives on C^{len(vec)}, system on C^{dim}")
-    return vec
+    return spectral._vector(fileformat.load_signal(args.signal), dim, "signal")
 
 
 def cmd_neumann(args) -> int:
@@ -249,6 +238,9 @@ def cmd_neumann(args) -> int:
 
 def cmd_dual(args) -> int:
     doc = fileformat.load_document(args.path)
+    pair_keys = [key for key in ("gamma", "weights") if getattr(doc, key) is not None]
+    if pair_keys:
+        raise FrameFileError(f"dual writes a frame file; it would drop the pair keys {pair_keys}")
     dual = canonical_dual(doc.lam, args.tol)
     out = fileformat.FrameDocument(dim=doc.dim, lam=dual, lam_encoding=doc.lam_encoding)
     sys.stdout.write(fileformat.serialize_document(out))
@@ -267,18 +259,13 @@ def _gen_params(args) -> dict:
 
 
 def cmd_gen(args) -> int:
-    dim = args.dim
+    dim = 2 if args.dim is None and args.kind == "mercedes" else args.dim
     if dim is None:
-        if args.kind == "mercedes":
-            dim = 2
-        else:
-            print("error: --dim is required for this kind", file=sys.stderr)
-            return 2
+        raise InvalidSpecError("--dim is required for this kind")
     try:
         params = _gen_params(args)
     except ValueError:
-        print("error: parameter lists must be comma-separated numbers", file=sys.stderr)
-        return 2
+        raise InvalidSpecError("parameter lists must be comma-separated numbers") from None
     spec = generators.GenSpec(kind=args.kind, dim=dim, count=args.count, seed=args.seed, params=params)
     family = generators.generate(spec)
     doc = fileformat.FrameDocument(

@@ -44,6 +44,7 @@ from numbers import Real
 
 import numpy as np
 
+from . import spectral
 from .errors import DimensionMismatchError, FrameFileError
 from .frames import OperatorFamily
 from .pairs import PairSystem, WeightSequence
@@ -295,10 +296,7 @@ def serialize_document(doc: FrameDocument) -> str:
 def parse_signal(text: str) -> np.ndarray:
     """Parse a signal file: {"format_version": "1", "dim": n, "vector": [...]}."""
     root, dim = _header(text, _SIGNAL_KEYS)
-    vec = _vector_in(root.get("vector"), "vector")
-    if len(vec) != dim:
-        raise DimensionMismatchError(f"signal has {len(vec)} entries, declared dim {dim}")
-    return vec
+    return spectral._vector(_vector_in(root.get("vector"), "vector"), dim, "signal")
 
 
 def load_signal(path) -> np.ndarray:

@@ -41,9 +41,8 @@ class OperatorFamily:
                 raise ValueError(f"member {k} has no rows")
         if not mats:
             raise ValueError("family needs at least one member")
-        n = mats[0].shape[1] if ambient_dim is None else int(ambient_dim)
-        if n < 1:
-            raise ValueError("ambient dimension must be >= 1")
+        n = mats[0].shape[1] if ambient_dim is None else ambient_dim
+        n = spectral._check_count(n, "ambient_dim", 1)
         for k, m in enumerate(mats):
             if m.shape[1] != n:
                 raise DimensionMismatchError(
@@ -61,14 +60,7 @@ class OperatorFamily:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int | None = None) -> "OperatorFamily":
-        """Family for an ordinary frame: each vector f becomes the row f^H.
-        Vectors of one length are converted and conjugated as one array."""
-        try:
-            rows = np.asarray(vectors, dtype=np.complex128)
-        except (TypeError, ValueError):  # ragged or not numbers: row by row below
-            rows = None
-        if rows is not None and rows.ndim == 2:
-            return cls(rows.conj()[:, None, :], ambient_dim)
+        """Family for an ordinary frame: each vector f becomes the row f^H."""
         rows = [np.asarray(v, dtype=np.complex128) for v in vectors]
         if any(r.ndim != 1 for r in rows):
             raise ValueError("from_vectors expects 1-D vectors")
@@ -141,10 +133,7 @@ class ClassificationReport:
 
 def _regroup(family: OperatorFamily, stacked: np.ndarray) -> OperatorFamily:
     """Family whose stacked rows are ``stacked``, cut as ``family``'s are."""
-    codims = family.codims
-    if len(set(codims)) == 1:  # one shape: the members are the planes of a 3-D view
-        return OperatorFamily(stacked.reshape(family.count, codims[0], -1))
-    return OperatorFamily(np.split(stacked, family.offsets[1:]))
+    return OperatorFamily([stacked[s : s + d] for s, d in zip(family.offsets, family.codims)])
 
 
 def _spectrum(family: OperatorFamily, tol: float | None) -> tuple[np.ndarray, FrameBounds, bool]:

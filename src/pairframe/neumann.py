@@ -12,8 +12,10 @@ that is not finite raises PairFrameError naming its N.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +36,8 @@ ALPHA_CUTS = 80
 ALPHA_GAP = 1e-12
 #: angles scored on the reporting ring when no scalar certifies
 HOPELESS_RING = 64
+#: largest order N or N_max: itertools.islice must count the N_max + 1 table rows
+MAX_ORDER = sys.maxsize - 1
 
 _EPS = float(np.finfo(np.float64).eps)
 #: rounding allowed in a computed norm(I - b*S) for b in the search square,
@@ -81,8 +85,24 @@ class NeumannTrace:
     entries: tuple
 
 
+def _check_alpha(alpha: complex) -> complex:
+    """``alpha`` itself when it is finite; ValueError naming alpha otherwise."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    return alpha
+
+
+def _check_order(N: int, name: str) -> int:
+    """:func:`spectral._check_count` of ``N``, with MAX_ORDER as its top."""
+    N = spectral._check_count(N, name)
+    if N > MAX_ORDER:
+        raise ValueError(f"{name} must be <= {MAX_ORDER}, got {N}")
+    return N
+
+
 def _step(s: np.ndarray, alpha: complex) -> np.ndarray:
-    """I - alpha*S; an alpha*S that is not finite leaves no partial sum and raises."""
+    """I - alpha*S; a non-finite alpha or alpha*S leaves no partial sum and raises."""
+    _check_alpha(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = alpha * s
     if not np.isfinite(scaled).all():
@@ -265,10 +285,10 @@ def neumann_inverse(S, alpha: complex, N: int) -> np.ndarray:
 
     Uses N matrix multiplications and no power table; with
     norm(I - alpha*S) < 1 it converges to S^-1 as N grows. N must be an
-    integer >= 0. An overflow raises.
+    integer in [0, MAX_ORDER]. An overflow raises.
     """
     s = spectral._square_matrix(S)
-    N = spectral._check_count(N, "N")
+    N = _check_order(N, "N")
     return next(itertools.islice(_partial_sums(_step(s, alpha), alpha), N, None))
 
 
@@ -314,10 +334,10 @@ def neumann_trace(S, alpha: complex, N_max: int) -> NeumannTrace:
     I - (S^-1)_N S = (I - alpha*S)^(N+1); disagreement beyond roundoff means
     a broken partial-sum evaluation and raises. So does a row with a term
     (partial sum, power, defect or bound residual^(N+1)) that is not finite.
-    N_max must be an integer >= 0.
+    N_max must be an integer in [0, MAX_ORDER], and alpha finite.
     """
     s = spectral._square_matrix(S)
-    return _trace(s, alpha, spectral._check_count(N_max, "N_max"))[0]
+    return _trace(s, alpha, _check_order(N_max, "N_max"))[0]
 
 
 def reconstruct(system: PairSystem, alpha: complex, N: int, f) -> tuple[np.ndarray, float]:

@@ -12,6 +12,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np
+import pytest
 
 from pairframe import GenSpec, OperatorFamily, PairSystem, WeightSequence, generate
 
@@ -25,6 +26,27 @@ def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """``lapack_calls(*names)`` wraps each named ``numpy.linalg`` function
+    and returns a dict counting its calls from then on; ``monkeypatch.undo()``
+    ends the count."""
+
+    def count(*names) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    return count
 
 
 def rng_for(seed: int) -> np.random.Generator:

@@ -63,6 +63,35 @@ def test_golden_outputs(args, golden):
     assert proc.stderr == b""
 
 
+#: the goldens that CI's numpy-only step diffs against the installed command
+NUMPY_ONLY_CASES = [
+    case for case in GOLDEN_CASES
+    if case[1] in {"pair_analyze_swap.txt", "pair_analyze_complex_weights.txt",
+                   "frame_analyze_mercedes.txt", "neumann_diag13.txt"}
+]
+#: ``python -m pairframe`` in an interpreter that cannot import the test-only packages
+NUMPY_ONLY = (
+    "import runpy, sys\n"
+    "sys.modules.update(dict.fromkeys(('scipy', 'hypothesis', 'pytest')))\n"
+    "runpy.run_module('pairframe', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize("args,golden", NUMPY_ONLY_CASES, ids=[g for _, g in NUMPY_ONLY_CASES])
+def test_numpy_only_runtime_matches_the_goldens(args, golden):
+    """The offline twin of CI's numpy-only install step: each of its four
+    commands runs with scipy, hypothesis and pytest unimportable and still
+    prints its golden, with nothing on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, *args],
+        capture_output=True,
+        env={**src_env(), "PYTHONWARNINGS": "error"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLD / golden).read_bytes()
+    assert proc.stderr == b""
+
+
 def test_parse_failure_exits_2():
     proc = run_cli("frame", "analyze", str(FIX / "bad.json"), check_exit=2)
     assert b"error:" in proc.stderr
@@ -146,6 +175,24 @@ def test_dual_of_non_frame_exits_4():
     assert b"no bounded dual" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [["gamma"], ["weights"], ["gamma", "weights"]],
+    ids=["gamma", "weights", "both"],
+)
+def test_dual_of_a_pair_file_exits_2_naming_the_dropped_keys(tmp_path, capsys, keys):
+    """dual writes the canonical dual of the primary family as a frame file,
+    which has no place for gamma or the weights; it used to drop them with
+    exit 0."""
+    doc = json.loads((FIX / "mercedes.json").read_text(encoding="utf-8"))
+    pair = {"gamma": {"vectors": doc["vectors"]}, "weights": [[2.0, 0.0]] * 3}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({**doc, **{key: pair[key] for key in keys}}), encoding="utf-8")
+    assert cli.main(["dual", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"would drop the pair keys {keys}" in err
+
+
 def test_dual_rejects_format_flag():
     """dual always writes a frame file, so it takes no --format."""
     proc = run_cli("dual", str(FIX / "mercedes.json"), "--format", "json", check_exit=2)
@@ -204,17 +251,11 @@ def test_file_that_is_not_utf8_exits_2(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
-def test_neumann_signal_dimension_clash_exits_3():
-    proc = run_cli(
-        "gen", "orthonormal", "--dim", "3", "--out", str(FIX / "_tmp_o3.json")
-    )
-    try:
-        run_cli(
-            "neumann", str(FIX / "_tmp_o3.json"),
-            "--signal", str(FIX / "signal2.json"), check_exit=3,
-        )
-    finally:
-        (FIX / "_tmp_o3.json").unlink()
+def test_neumann_signal_dimension_clash_exits_3(tmp_path):
+    path = tmp_path / "o3.json"
+    run_cli("gen", "orthonormal", "--dim", "3", "--out", str(path))
+    proc = run_cli("neumann", str(path), "--signal", str(FIX / "signal2.json"), check_exit=3)
+    assert b"expected a signal of length 3, got shape (2,)" in proc.stderr
 
 
 def _neumann_signal_rows(tmp_path, monkeypatch, capsys, f, N):
@@ -273,6 +314,7 @@ def test_neumann_zero_signal_rows_report_zero_error(tmp_path, monkeypatch, capsy
     [
         ("--N", "-1"),
         ("--N", "100000000000000000000"),
+        ("--N", "9223372036854775807"),
         ("--alpha", "nan"),
         ("--alpha", "1e400"),
         ("--alpha", "1e308"),
@@ -282,6 +324,7 @@ def test_neumann_zero_signal_rows_report_zero_error(tmp_path, monkeypatch, capsy
     ids=[
         "negative-N",
         "N-beyond-maxsize",
+        "N-at-maxsize",
         "nan-alpha",
         "overflowing-alpha",
         "alpha-times-S-overflows",
@@ -317,20 +360,6 @@ def test_tol_rejects_non_finite_or_negative_with_exit_2(args):
 COMPLEX_WEIGHTS = FIX / "complex_weights.json"
 
 
-def _count_solves(monkeypatch) -> dict:
-    """Count the eigvalsh and eigh calls made from here on."""
-    counts = {"eigvalsh": 0, "eigh": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return counts
-
-
 def _recording(fn, log: list):
     """``fn``, appending each of its results to ``log``."""
 
@@ -352,22 +381,22 @@ def _pair_analyze_recorded(monkeypatch, path) -> tuple:
     return brackets, alphas
 
 
-def test_pair_analyze_brackets_the_numerical_range_once(monkeypatch, capsys):
+def test_pair_analyze_brackets_the_numerical_range_once(monkeypatch, capsys, lapack_calls):
     """A non-hermitian system: the report takes one numerical-range bracket
     of at most 64 solves (a sweep takes 480), and find_alpha adds one eigh
     per cut and nothing else."""
-    counts = _count_solves(monkeypatch)
+    counts = lapack_calls("eigvalsh", "eigh")
     (bracket,), (near,) = _pair_analyze_recorded(monkeypatch, COMPLEX_WEIGHTS)
     assert "near identity: yes" in capsys.readouterr().out
     assert bracket.solves <= 64
     assert counts["eigvalsh"] + counts["eigh"] == bracket.solves + near.cuts
 
 
-def test_pair_analyze_sweeps_a_hermitian_numerical_range_once(monkeypatch, capsys):
+def test_pair_analyze_sweeps_a_hermitian_numerical_range_once(monkeypatch, capsys, lapack_calls):
     """A hermitian system keeps the support-function sweep (THETA_STEPS/2
     grid solves, then two golden-section refinements of 2*REFINE_ITERS
     solves each); find_alpha's closed form adds one eigvalsh."""
-    counts = _count_solves(monkeypatch)
+    counts = lapack_calls("eigvalsh", "eigh")
     (bracket,), (near,) = _pair_analyze_recorded(monkeypatch, FIX / "diag13_pair.json")
     assert "near identity: yes" in capsys.readouterr().out
     sweep = spectral.THETA_STEPS // 2 + 4 * spectral.REFINE_ITERS

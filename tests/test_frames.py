@@ -115,8 +115,12 @@ def test_family_errors_name_the_member():
         OperatorFamily(np.ones((1, 1, 1, 2)))
     with pytest.raises(ValueError, match="member 1 has no rows"):
         OperatorFamily([np.ones((1, 2)), np.ones((0, 2))])
-    with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+    with pytest.raises(ValueError, match="ambient_dim must be >= 1, got 0"):
         OperatorFamily([np.ones((1, 2))], 0)
+    with pytest.raises(ValueError, match="ambient_dim must be >= 1, got 0"):
+        OperatorFamily([np.ones((1, 0))])
+    with pytest.raises(TypeError, match="ambient_dim must be an integer, got 2.7"):
+        OperatorFamily([np.ones((1, 2))], 2.7)
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
         OperatorFamily([np.ones((1, 2)), [[np.inf, 0.0]]])
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
@@ -312,24 +316,12 @@ def test_overflowing_frame_operator_raises(op):
     ],
     ids=["classify", "canonical_dual"],
 )
-def test_frame_operator_is_factored_once(monkeypatch, op, want):
+def test_frame_operator_is_factored_once(monkeypatch, lapack_calls, op, want):
     """One eigvalsh of S decides the verdict, bounds and certificates; one
     SVD measures the residual that only classify reports, and the dual is
     one solve; nothing inverts S."""
     fam = OperatorFamily.from_vectors(complex_noise(rng_for(64), (256, 64)))
-    calls = dict.fromkeys(want, 0)
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    calls = lapack_calls(*want)
     op(fam)
     monkeypatch.undo()
     assert calls == want

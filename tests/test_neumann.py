@@ -1,4 +1,5 @@
 import functools
+import sys
 import tracemalloc
 import warnings
 
@@ -29,6 +30,7 @@ from pairframe.neumann import (
     ALPHA_CUTS,
     ALPHA_GAP,
     HOPELESS_RING,
+    MAX_ORDER,
     NEAR_IDENTITY_GUARD,
     _centroid,
     _clip,
@@ -206,24 +208,17 @@ def test_find_alpha_rotated_singular_projection():
     [rotated_singular_projection(), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, -1.0, 0.5])],
     ids=["rotated-singular-projection", "swap", "indefinite"],
 )
-def test_find_alpha_hermitian_not_near_identity_skips_the_cuts(monkeypatch, s):
+def test_find_alpha_hermitian_not_near_identity_skips_the_cuts(monkeypatch, lapack_calls, s):
     """For hermitian S the closed form is the optimum over every alpha, or
     the infimum is 1, so a hermitian S whose closed form misses the guard
     goes straight to the ring: the norm, at most the closed form's residual
     and the HOPELESS_RING ring points, one SVD each, and no cut."""
-    svds = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        svds.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = lapack_calls("svd")
     rep = find_alpha(s)
     monkeypatch.undo()
     assert not rep.is_near_identity
     assert_ring_point(s, rep)
-    assert len(svds) <= 2 + HOPELESS_RING
+    assert calls["svd"] <= 2 + HOPELESS_RING
 
 
 @pytest.mark.parametrize("seed", [67, 68, 69])
@@ -331,25 +326,13 @@ def test_find_alpha_verdict_matches_oracle_numerical_range():
     assert verdicts.count(True) >= 3 and verdicts.count(False) >= 2
 
 
-def test_find_alpha_takes_no_eigvalsh_and_few_svds(monkeypatch):
+def test_find_alpha_takes_no_eigvalsh_and_few_svds(monkeypatch, lapack_calls):
     """A non-hermitian n=32 search: no numerical-range sweep, two SVDs
     (the norm and the rescore of the best alpha; the hermitian test is a
     Frobenius norm) and one Gram eigh per cut, stopped by the certified gap
     well before ALPHA_CUTS (the 80-cut search took 82 SVDs)."""
     s = np.eye(32) + 0.3 * complex_noise(rng_for(32), (32, 32)) / np.sqrt(32)
-    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    calls = lapack_calls("svd", "eigvalsh", "eigh")
     rep = find_alpha(s)
     monkeypatch.undo()
     assert rep.is_near_identity and not rep.is_positive_variant
@@ -607,6 +590,22 @@ def test_trace_argument_validation():
         neumann_trace(np.eye(2), 1.0, -1)
     with pytest.raises(TypeError, match="N_max must be an integer, got 2.0"):
         neumann_trace(np.eye(2), 1.0, 2.0)
+    # the N_max + 1 rows of a sys.maxsize table are beyond itertools.islice
+    assert MAX_ORDER == sys.maxsize - 1
+    with pytest.raises(ValueError, match=f"N_max must be <= {MAX_ORDER}, got {sys.maxsize}"):
+        neumann_trace(np.eye(2), 1.0, sys.maxsize)
+    with pytest.raises(ValueError, match=f"N must be <= {MAX_ORDER}, got {sys.maxsize + 1}"):
+        neumann_inverse(np.eye(2), 1.0, sys.maxsize + 1)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, complex(1.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+def test_non_finite_alpha_raises_value_error_naming_it(alpha):
+    """A non-finite alpha is a bad argument, not an overflow of alpha*S at N=0."""
+    for call in (neumann_inverse, neumann_trace):
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            call(np.eye(2), alpha, 3)
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        reconstruct(diag13_system(), alpha, 3, np.ones(2))
 
 
 # ---------------------------------------------------------- reconstruction
