@@ -12,8 +12,10 @@ Exit codes: 0 success (verdicts included), 2 parse or validation failure,
 3 dimension mismatch, 4 unmet precondition (non-frame dual, --alpha auto on
 a system that is not near-identity).
 
-Text reports print every number with 6 significant digits; JSON reports
-carry full double precision with complex numbers as [re, im] pairs.
+Each report is one list of ``(json key, text label, value)`` fields. JSON
+carries every keyed field (``null`` when absent) at full double precision,
+complex numbers as [re, im]; text prints every labelled field present, to 6
+significant digits. Arguments are checked at parse time.
 """
 
 from __future__ import annotations
@@ -37,32 +39,29 @@ from .pairs import classify_pair, pair_operator
 
 _TIGHT_REL = 1e-10
 
-def _num(x: float) -> str:
-    return f"{float(x):.6g}"
-
-
-def _cplx(z: complex) -> str:
-    z = complex(z)
+def _text(value) -> str:
+    """A report value as text: yes/no, an int or str as it is, a number to
+    6 significant digits, a complex number as re+imi or re-imi."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, (int, str)):
+        return str(value)
+    z = complex(value)
     if z.imag == 0.0:
-        return _num(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{_num(z.real)}{sign}{_num(abs(z.imag))}i"
+        return f"{z.real:.6g}"
+    return f"{z.real:.6g}{'+' if z.imag > 0 else '-'}{abs(z.imag):.6g}i"
 
 
-def _cplx_json(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _parse_alpha(text: str) -> complex:
+def _alpha(text: str):
+    """argparse type for --alpha: 'auto' or a finite complex number."""
+    if text == "auto":
+        return text
     try:
         return neumann._check_alpha(complex(text.strip().replace("i", "j")))
     except ValueError:
-        raise FrameFileError(f"alpha must be a finite 're' or 're+imi', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"must be 'auto' or a finite 're' or 're+imi', got {text!r}"
+        ) from None
 
 
 def _tolerance(text: str) -> float:
@@ -83,49 +82,44 @@ def _order(text: str) -> int:
         ) from None
 
 
-def _emit(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _report(args, command: str, fields, table=()) -> None:
+    """Print one report from its ``(json key, text label, value)`` fields.
 
-
-def _emit_json(payload) -> None:
-    sys.stdout.write(fileformat.compact_pairs(json.dumps(payload, indent=2)) + "\n")
+    JSON holds ``command`` and then every keyed value, complex ones as
+    [re, im]; text holds ``label: value`` for every labelled value that is
+    not None, then the table lines.
+    """
+    if args.format == "json":
+        payload = {"command": command, **{key: value for key, _, value in fields if key}}
+        text = fileformat.compact_pairs(
+            json.dumps(payload, indent=2, default=lambda z: [z.real, z.imag])
+        )
+    else:
+        lines = [f"{label}: {_text(value)}" for _, label, value in fields
+                 if label and value is not None]
+        text = "\n".join([*lines, *table])
+    sys.stdout.write(text + "\n")
 
 
 def cmd_frame_analyze(args) -> int:
     doc = fileformat.load_document(args.path)
     rep = classify(doc.lam, args.tol)
-    tight = rep.is_frame and (rep.bounds.upper - rep.bounds.lower) <= _TIGHT_REL * rep.bounds.upper
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "frame analyze",
-                "members": doc.lam.count,
-                "dim": doc.dim,
-                "is_frame": rep.is_frame,
-                "is_bessel": rep.is_bessel,
-                "bounds": {"lower": rep.bounds.lower, "upper": rep.bounds.upper},
-                "tight": tight,
-                "alpha_star": rep.alpha_star,
-                "residual": rep.residual,
-                "invertible": rep.cert_invertible,
-                "surjective": rep.cert_surjective,
-            }
-        )
-        return 0
-    lines = [
-        f"family: {doc.lam.count} members on C^{doc.dim}",
-        f"frame: {_yesno(rep.is_frame)}",
-        f"bessel: {_yesno(rep.is_bessel)}",
-        f"A: {_num(rep.bounds.lower)}",
-        f"B: {_num(rep.bounds.upper)}",
-        f"tight: {_yesno(tight)}",
-    ]
-    if rep.is_frame:
-        lines.append(f"alpha_star: {_num(rep.alpha_star)}")
-        lines.append(f"residual: {_num(rep.residual)}")
-    lines.append(f"invertible: {_yesno(rep.cert_invertible)}")
-    lines.append(f"surjective: {_yesno(rep.cert_surjective)}")
-    _emit(lines)
+    lower, upper = rep.bounds.lower, rep.bounds.upper
+    _report(args, "frame analyze", [
+        ("members", None, doc.lam.count),
+        ("dim", None, doc.dim),
+        (None, "family", f"{doc.lam.count} members on C^{doc.dim}"),
+        ("is_frame", "frame", rep.is_frame),
+        ("is_bessel", "bessel", rep.is_bessel),
+        ("bounds", None, {"lower": lower, "upper": upper}),
+        (None, "A", lower),
+        (None, "B", upper),
+        ("tight", "tight", rep.is_frame and upper - lower <= _TIGHT_REL * upper),
+        ("alpha_star", "alpha_star", rep.alpha_star),
+        ("residual", "residual", rep.residual),
+        ("invertible", "invertible", rep.cert_invertible),
+        ("surjective", "surjective", rep.cert_surjective),
+    ])
     return 0
 
 
@@ -135,45 +129,23 @@ def cmd_pair_analyze(args) -> int:
     system = doc.pair_system()
     rep = classify_pair(system, tol=args.tol)
     near = neumann.find_alpha(rep.S)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "pair analyze",
-                "members": system.count,
-                "dim": doc.dim,
-                "gamma_defaulted": defaulted,
-                "is_pair_frame": rep.is_pair_frame,
-                "op_norm": rep.op_norm,
-                "min_singular": rep.min_singular,
-                "condition_number": rep.condition_number,
-                "framelike_lower": rep.framelike_lower,
-                "framelike_upper": rep.framelike_upper,
-                "adjoint_residual": rep.adjoint_residual,
-                "alpha": _cplx_json(near.alpha),
-                "alpha_residual": near.residual,
-                "near_identity": near.is_near_identity,
-            }
-        )
-        return 0
-    lines = [f"system: {system.count} members on C^{doc.dim}"]
-    if defaulted:
-        lines.append("gamma: defaulted to the primary family")
-    lines += [
-        f"pair frame: {_yesno(rep.is_pair_frame)}",
-        f"op norm: {_num(rep.op_norm)}",
-        f"min singular: {_num(rep.min_singular)}",
-    ]
-    if rep.condition_number is not None:
-        lines.append(f"condition number: {_num(rep.condition_number)}")
-    lines += [
-        f"framelike A: {_num(rep.framelike_lower)}",
-        f"framelike B: {_num(rep.framelike_upper)}",
-        f"adjoint residual: {_num(rep.adjoint_residual)}",
-        f"alpha: {_cplx(near.alpha)}",
-        f"alpha residual: {_num(near.residual)}",
-        f"near identity: {_yesno(near.is_near_identity)}",
-    ]
-    _emit(lines)
+    _report(args, "pair analyze", [
+        ("members", None, system.count),
+        ("dim", None, doc.dim),
+        (None, "system", f"{system.count} members on C^{doc.dim}"),
+        ("gamma_defaulted", None, defaulted),
+        (None, "gamma", "defaulted to the primary family" if defaulted else None),
+        ("is_pair_frame", "pair frame", rep.is_pair_frame),
+        ("op_norm", "op norm", rep.op_norm),
+        ("min_singular", "min singular", rep.min_singular),
+        ("condition_number", "condition number", rep.condition_number),
+        ("framelike_lower", "framelike A", rep.framelike_lower),
+        ("framelike_upper", "framelike B", rep.framelike_upper),
+        ("adjoint_residual", "adjoint residual", rep.adjoint_residual),
+        ("alpha", "alpha", near.alpha),
+        ("alpha_residual", "alpha residual", near.residual),
+        ("near_identity", "near identity", near.is_near_identity),
+    ])
     return 0
 
 
@@ -196,7 +168,8 @@ def cmd_neumann(args) -> int:
     doc = fileformat.load_document(args.path)
     signal = _signal_for(args, doc.dim)
     s = pair_operator(doc.pair_system())
-    if args.alpha == "auto":
+    alpha = args.alpha
+    if alpha == "auto":
         near = neumann.find_alpha(s)
         if not near.is_near_identity:
             print(
@@ -206,33 +179,17 @@ def cmd_neumann(args) -> int:
             )
             return 4
         alpha = near.alpha
-    else:
-        alpha = _parse_alpha(args.alpha)
     trace, rel_errors = neumann._trace(s, alpha, args.N, signal)
     rows = [entry._asdict() for entry in trace.entries]
     for row, rel_error in zip(rows, rel_errors):
         row["rel_error"] = rel_error
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "neumann",
-                "alpha": _cplx_json(trace.alpha),
-                "residual": trace.residual,
-                "rows": rows,
-            }
-        )
-        return 0
-    header = list(rows[0])
-    table = [header]
-    for row in rows:
-        table.append([str(row["N"])] + [_num(row[key]) for key in header[1:]])
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
-    lines = [
-        f"alpha: {_cplx(trace.alpha)}",
-        f"residual: {_num(trace.residual)}",
-    ]
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
-    _emit(lines)
+    table = [list(rows[0])] + [[_text(value) for value in row.values()] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    _report(args, "neumann", [
+        ("alpha", "alpha", trace.alpha),
+        ("residual", "residual", trace.residual),
+        ("rows", None, rows),
+    ], ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table])
     return 0
 
 
@@ -250,9 +207,9 @@ def cmd_dual(args) -> int:
 def _gen_params(args) -> dict:
     params = {}
     if args.scales is not None:
-        params["scales"] = [float(x) for x in args.scales.split(",") if x]
+        params["scales"] = [float(x) for x in args.scales.split(",")]
     if args.eigenvalues is not None:
-        params["eigenvalues"] = [float(x) for x in args.eigenvalues.split(",") if x]
+        params["eigenvalues"] = [float(x) for x in args.eigenvalues.split(",")]
     if args.codim is not None:
         params["codim"] = args.codim
     return params
@@ -308,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ne = sub.add_parser("neumann", help="Neumann-series decay table")
     ne.add_argument("path")
-    ne.add_argument("--alpha", default="auto", help="'auto' or a complex scalar ('re' or 're+imi')")
+    ne.add_argument(
+        "--alpha", type=_alpha, default="auto", help="'auto' or a complex scalar ('re' or 're+imi')"
+    )
     ne.add_argument("--N", type=_order, default=10, help="largest truncation order")
     ne.add_argument("--signal", default=None, help="signal file path or random:SEED")
     ne.add_argument("--format", choices=("text", "json"), default="text")

@@ -32,6 +32,10 @@ GOLDEN_CASES = [
         "frame_analyze_mercedes.json",
     ),
     (("frame", "analyze", str(FIX / "rank_deficient2.json")), "frame_analyze_rankdef.txt"),
+    (
+        ("frame", "analyze", str(FIX / "rank_deficient2.json"), "--format", "json"),
+        "frame_analyze_rankdef.json",
+    ),
     (("pair", "analyze", str(FIX / "swap_pair.json")), "pair_analyze_swap.txt"),
     (
         ("pair", "analyze", str(FIX / "swap_pair.json"), "--format", "json"),
@@ -39,6 +43,11 @@ GOLDEN_CASES = [
     ),
     (("pair", "analyze", str(FIX / "diag13_pair.json")), "pair_analyze_diag13.txt"),
     (("pair", "analyze", str(FIX / "complex_weights.json")), "pair_analyze_complex_weights.txt"),
+    (("pair", "analyze", str(FIX / "rank_deficient2.json")), "pair_analyze_rankdef.txt"),
+    (
+        ("pair", "analyze", str(FIX / "rank_deficient2.json"), "--format", "json"),
+        "pair_analyze_rankdef.json",
+    ),
     (("neumann", str(FIX / "diag13_pair.json"), "--N", "6"), "neumann_diag13.txt"),
     (
         ("neumann", str(FIX / "diag13_pair.json"), "--N", "4",
@@ -48,6 +57,11 @@ GOLDEN_CASES = [
     (
         ("neumann", str(FIX / "diag13_pair.json"), "--N", "3", "--format", "json"),
         "neumann_diag13.json",
+    ),
+    (
+        ("neumann", str(FIX / "diag13_pair.json"), "--N", "2",
+         "--signal", str(FIX / "signal2.json"), "--format", "json"),
+        "neumann_diag13_signal.json",
     ),
     (("dual", str(FIX / "mercedes.json")), "dual_mercedes.json"),
     (("gen", "harmonic", "--dim", "2", "--count", "4"), "gen_harmonic24.json"),
@@ -66,8 +80,9 @@ def test_golden_outputs(args, golden):
 #: the goldens that CI's numpy-only step diffs against the installed command
 NUMPY_ONLY_CASES = [
     case for case in GOLDEN_CASES
-    if case[1] in {"pair_analyze_swap.txt", "pair_analyze_complex_weights.txt",
-                   "frame_analyze_mercedes.txt", "neumann_diag13.txt"}
+    if case[1] in {"pair_analyze_swap.txt", "pair_analyze_swap.json",
+                   "pair_analyze_complex_weights.txt", "frame_analyze_mercedes.txt",
+                   "neumann_diag13.txt"}
 ]
 #: ``python -m pairframe`` in an interpreter that cannot import the test-only packages
 NUMPY_ONLY = (
@@ -79,7 +94,7 @@ NUMPY_ONLY = (
 
 @pytest.mark.parametrize("args,golden", NUMPY_ONLY_CASES, ids=[g for _, g in NUMPY_ONLY_CASES])
 def test_numpy_only_runtime_matches_the_goldens(args, golden):
-    """The offline twin of CI's numpy-only install step: each of its four
+    """The offline twin of CI's numpy-only install step: each of its five
     commands runs with scipy, hypothesis and pytest unimportable and still
     prints its golden, with nothing on stderr."""
     proc = subprocess.run(
@@ -226,7 +241,9 @@ def test_neumann_complex_alpha_and_random_signal():
 
 
 def test_neumann_bad_alpha_exits_2():
-    run_cli("neumann", str(FIX / "diag13_pair.json"), "--alpha", "spam", check_exit=2)
+    """--alpha is checked at parse time, before the file is read."""
+    proc = run_cli("neumann", str(FIX / "no_such_file.json"), "--alpha", "spam", check_exit=2)
+    assert b"argument --alpha: must be 'auto' or a finite" in proc.stderr
 
 
 def test_neumann_bad_signal_spec_exits_2():
@@ -310,16 +327,16 @@ def test_neumann_zero_signal_rows_report_zero_error(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, where",
     [
-        ("--N", "-1"),
-        ("--N", "100000000000000000000"),
-        ("--N", "9223372036854775807"),
-        ("--alpha", "nan"),
-        ("--alpha", "1e400"),
-        ("--alpha", "1e308"),
-        ("--alpha", "1e200", "--N", "2"),
-        ("--alpha", "1e307+1e307i", "--N", "1"),
+        (("--N", "-1"), b"argument --N"),
+        (("--N", "100000000000000000000"), b"argument --N"),
+        (("--N", "9223372036854775807"), b"argument --N"),
+        (("--alpha", "nan"), b"argument --alpha"),
+        (("--alpha", "1e400"), b"argument --alpha"),
+        (("--alpha", "1e308"), b"alpha*S overflows at N=0"),
+        (("--alpha", "1e200", "--N", "2"), b"overflows at N=1"),
+        (("--alpha", "1e307+1e307i", "--N", "1"), b"partial sum overflows at N=1"),
     ],
     ids=[
         "negative-N",
@@ -332,9 +349,11 @@ def test_neumann_zero_signal_rows_report_zero_error(tmp_path, monkeypatch, capsy
         "partial-sum-overflows",
     ],
 )
-def test_neumann_rejects_bad_arguments_with_exit_2(args):
+def test_neumann_rejects_bad_arguments_with_exit_2(args, where):
+    """An argument out of its range fails at parse time, naming it; a finite
+    alpha that overflows fails in the table, naming the row."""
     proc = run_cli("neumann", str(FIX / "diag13_pair.json"), *args, check_exit=2)
-    assert b"error:" in proc.stderr
+    assert b"error:" in proc.stderr and where in proc.stderr
     assert b"Traceback" not in proc.stderr
 
 
@@ -440,6 +459,23 @@ def test_gen_weighted_rejects_non_finite_scales_with_exit_2():
     proc = run_cli("gen", "weighted", "--dim", "2", "--scales", "1,nan", check_exit=2)
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("weighted", "--scales", "1,,2"),
+        ("weighted", "--scales", "1,2,"),
+        ("prescribed_spectrum", "--eigenvalues", ",1,2"),
+    ],
+    ids=["inner", "trailing", "leading"],
+)
+def test_gen_rejects_an_empty_list_item_with_exit_2(capsys, args):
+    """An empty item is not a number; it used to be dropped with exit 0."""
+    kind, *params = args
+    assert cli.main(["gen", kind, "--dim", "2", *params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: parameter lists must be comma-separated numbers\n"
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
