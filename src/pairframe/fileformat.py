@@ -17,15 +17,17 @@ A signal file is {"format_version": "1", "dim": n, "vector": [...]}. Both
 kinds share one header reader (a JSON object with no unknown keys,
 format_version "1", a positive integer dim) and one UTF-8 file opener.
 
-Parse and validation problems raise :class:`FrameFileError`; size clashes
+Parse and validation problems raise :class:`FrameFileError`, text that
+``json.loads`` cannot decode (too deeply nested, an integer of over 4,300
+digits) included; an error names the first malformed value by its path
+(``$.vectors[1][0]``) and shows its repr cut to 100 characters. Size clashes
 between declared and actual dimensions raise ``DimensionMismatchError``.
-Serialization keeps full double precision, so parse/serialize round-trips
-are lossless.
+Serialization keeps full double precision, so round-trips are lossless.
 
 Data moves as whole arrays. Reading converts each family body (or each
 operator), weight list and signal vector with one object array, a shape
 check, a type check and a finiteness check; only a value that fails them is
-walked element by element, to name it in the error (``NaN`` and
+walked one level at a time, to name the part at fault (``NaN`` and
 ``Infinity``, which ``json.loads`` accepts, are rejected there). Writing
 turns each family into Python floats with one ``tolist`` and renders each
 row of pairs with the C JSON encoder. The text written is byte for byte
@@ -35,12 +37,10 @@ list per complex value.
 
 from __future__ import annotations
 
-import cmath
-import contextlib
 import json
 import re
+import reprlib
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -102,42 +102,30 @@ def _pairs_in(node, ndim: int) -> np.ndarray | None:
     return vals.view(np.complex128)[..., 0] if np.isfinite(vals).all() else None
 
 
-def _complex_in(node, where: str) -> complex:
-    ok = (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(x, Real) and not isinstance(x, bool) for x in node)
-    )
-    if not ok:
-        raise FrameFileError(f"{where}: complex values are [re, im] number pairs, got {node!r}")
-    with contextlib.suppress(OverflowError):  # an integer beyond the float range
-        value = complex(float(node[0]), float(node[1]))
-        if cmath.isfinite(value):
-            return value
-    raise FrameFileError(f"{where}: complex values must be finite, got {node!r}")
+def _shown(node) -> str:
+    """``repr(node)`` for an error message, at most 100 characters long;
+    reprlib keeps the work small on a huge or deeply nested value."""
+    text = reprlib.repr(node)
+    return text if len(text) <= 100 else text[:96] + " ..."
 
 
-def _vector_in(node, where: str) -> np.ndarray:
-    vec = _pairs_in(node, 2)
-    if vec is not None:
-        return vec
-    # not well formed: walk the elements to name the offending one
+def _array_in(node, ndim: int, where: str) -> np.ndarray:
+    """Complex array of ``node``: a [re, im] pair (``ndim`` 1), a vector of
+    them (2) or a matrix (3). A value :func:`_pairs_in` rejects is walked
+    one level down to name the first malformed part by its path."""
+    arr = _pairs_in(node, ndim)
+    if arr is not None:
+        return arr
+    if ndim == 1:
+        shaped = isinstance(node, list) and len(node) == 2 and set(map(type, node)) <= _NUMBER_TYPES
+        rule = "must be finite" if shaped else "are [re, im] number pairs"
+        raise FrameFileError(f"{where}: complex values {rule}, got {_shown(node)}")
     if not isinstance(node, list) or not node:
-        raise FrameFileError(f"{where}: expected a nonempty list of complex values")
-    return np.array([_complex_in(v, f"{where}[{k}]") for k, v in enumerate(node)])
-
-
-def _member_in(node, where: str) -> np.ndarray:
-    mat = _pairs_in(node, 3)
-    if mat is not None:
-        return mat
-    if not isinstance(node, list) or not node:
-        raise FrameFileError(f"{where}: expected a nonempty list of rows")
-    rows = [_vector_in(r, f"{where}[{j}]") for j, r in enumerate(node)]
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FrameFileError(f"{where}: ragged rows with widths {sorted(widths)}")
-    return np.vstack(rows)
+        items = "rows" if ndim == 3 else "complex values"
+        raise FrameFileError(f"{where}: expected a nonempty list of {items}")
+    parts = [_array_in(v, ndim - 1, f"{where}[{k}]") for k, v in enumerate(node)]
+    # every part is well formed, so only the widths of the rows can clash
+    raise FrameFileError(f"{where}: ragged rows with widths {_shown(sorted({p.size for p in parts}))}")
 
 
 def _family_in(node: dict, dim: int, where: str) -> tuple[OperatorFamily, str]:
@@ -153,9 +141,9 @@ def _family_in(node: dict, dim: int, where: str) -> tuple[OperatorFamily, str]:
     if encoding == "vectors":
         vectors = _pairs_in(body, 3)
         if vectors is None:
-            vectors = [_vector_in(v, f"{where}.vectors[{k}]") for k, v in enumerate(body)]
+            vectors = [_array_in(v, 2, f"{where}.vectors[{k}]") for k, v in enumerate(body)]
         return OperatorFamily.from_vectors(vectors, dim), encoding
-    members = [_member_in(m, f"{where}.operators[{k}]") for k, m in enumerate(body)]
+    members = [_array_in(m, 3, f"{where}.operators[{k}]") for k, m in enumerate(body)]
     return OperatorFamily(members, dim), encoding
 
 
@@ -165,7 +153,7 @@ def _object(node, keys: set, where: str) -> dict:
         raise FrameFileError(f"{where} must be an object")
     unknown = set(node) - keys
     if unknown:
-        raise FrameFileError(f"{where}: unknown keys {sorted(unknown)}")
+        raise FrameFileError(f"{where}: unknown keys {_shown(sorted(unknown))}")
     return node
 
 
@@ -175,15 +163,15 @@ def _header(text: str, keys: set) -> tuple[dict, int]:
     format_version FORMAT_VERSION and a positive integer dim."""
     try:
         root = _object(json.loads(text), keys, "top level")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
         raise FrameFileError(f"not valid JSON: {exc}") from None
     if root.get("format_version") != FORMAT_VERSION:
         raise FrameFileError(
-            f"format_version {root.get('format_version')!r} unsupported, expected {FORMAT_VERSION!r}"
+            f"format_version {_shown(root.get('format_version'))} unsupported, expected {FORMAT_VERSION!r}"
         )
     dim = root.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FrameFileError(f"dim must be a positive integer, got {dim!r}")
+        raise FrameFileError(f"dim must be a positive integer, got {_shown(dim)}")
     return root, dim
 
 
@@ -214,7 +202,7 @@ def parse_document(text: str) -> FrameDocument:
     if "weights" in root:
         if root["weights"] == []:  # a weight sequence is nonempty, a family too
             raise DimensionMismatchError(f"0 weights for {lam.count} members")
-        weights = WeightSequence(_vector_in(root["weights"], "weights"))
+        weights = WeightSequence(_array_in(root["weights"], 2, "weights"))
 
     doc = FrameDocument(dim, lam, lam_encoding, gamma, gamma_encoding, weights)
     doc.pair_system()  # member counts and row counts must match: DimensionMismatchError
@@ -296,7 +284,7 @@ def serialize_document(doc: FrameDocument) -> str:
 def parse_signal(text: str) -> np.ndarray:
     """Parse a signal file: {"format_version": "1", "dim": n, "vector": [...]}."""
     root, dim = _header(text, _SIGNAL_KEYS)
-    return spectral._vector(_vector_in(root.get("vector"), "vector"), dim, "signal")
+    return spectral._vector(_array_in(root.get("vector"), 2, "vector"), dim, "signal")
 
 
 def load_signal(path) -> np.ndarray:

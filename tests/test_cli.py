@@ -268,6 +268,23 @@ def test_file_that_is_not_utf8_exits_2(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, "1" * 5_000], ids=["too-deep", "long-integer"]
+)
+@pytest.mark.parametrize("reads", ["frame", "signal"])
+def test_json_that_cannot_be_decoded_exits_2(tmp_path, reads, text):
+    """Nesting deeper than json.loads' recursion limit, and an integer
+    beyond Python's 4,300-digit conversion limit."""
+    path = tmp_path / "undecodable.json"
+    path.write_text(text, encoding="utf-8")
+    args = ("frame", "analyze", str(path))
+    if reads == "signal":
+        args = ("neumann", str(FIX / "diag13_pair.json"), "--signal", str(path))
+    proc = run_cli(*args, check_exit=2)
+    assert b"not valid JSON" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_neumann_signal_dimension_clash_exits_3(tmp_path):
     path = tmp_path / "o3.json"
     run_cli("gen", "orthonormal", "--dim", "3", "--out", str(path))

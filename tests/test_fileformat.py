@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_pair_system
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pairframe import (
@@ -18,6 +20,7 @@ from pairframe import (
 )
 from pairframe.fileformat import (
     FrameDocument,
+    _array_in,
     compact_pairs,
     load_document,
     load_signal,
@@ -278,6 +281,119 @@ def test_non_finite_value_is_named_in_the_error(put, where, bad):
     put(bad)(root)
     with pytest.raises(FrameFileError, match=rf"^{re.escape(where)}: complex values must be finite"):
         parse_document(json.dumps(root))
+
+
+#: JSON numbers as json.loads returns them: integers, some far beyond 2**53,
+#: and finite floats, signed zeros, subnormals and extreme exponents included
+NUMBERS = st.one_of(st.integers(-(10**308), 10**308), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def well_formed(draw):
+    """(ndim, shape, node): a [re, im] pair (ndim 1), a vector (2) or a
+    matrix (3) of pairs, ``shape`` being its list lengths above the pairs."""
+    ndim = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 4), min_size=ndim - 1, max_size=ndim - 1))
+
+    def build(lengths):
+        if not lengths:
+            return [draw(NUMBERS), draw(NUMBERS)]
+        return [build(lengths[1:]) for _ in range(lengths[0])]
+
+    return ndim, shape, build(shape)
+
+
+def per_number(node, ndim):
+    """The reading of a well-formed value one number at a time."""
+    if ndim == 1:
+        return complex(float(node[0]), float(node[1]))
+    return [per_number(v, ndim - 1) for v in node]
+
+
+@settings(max_examples=200, deadline=None)
+@given(well_formed())
+def test_the_reader_reads_every_bit_of_a_well_formed_value(case):
+    ndim, shape, node = case
+    got = _array_in(node, ndim, "x")
+    want = np.array(per_number(node, ndim), dtype=np.complex128)
+    assert got.shape == want.shape == tuple(shape)
+    assert got.tobytes() == want.tobytes()
+
+
+#: what replaces one number of a pair, and whether the error then says the
+#: value is not finite (rather than not a pair of numbers)
+BAD_NUMBERS = [(True, False), (None, False), ("1", False), (float("nan"), True), (10**400, True)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(well_formed(), st.data())
+def test_the_reader_names_the_one_malformed_pair(case, data):
+    ndim, shape, node = case
+    index = [data.draw(st.integers(0, n - 1)) for n in shape]
+    pair = node
+    for i in index:
+        pair = pair[i]
+    how = data.draw(st.sampled_from(["number", "triple", "empty"]))
+    finite_rule = False
+    if how == "number":
+        bad, finite_rule = data.draw(st.sampled_from(BAD_NUMBERS))
+        pair[data.draw(st.integers(0, 1))] = bad
+    else:
+        pair[:] = [1.0, 0.0, 0.0] if how == "triple" else []
+    where = "x" + "".join(f"[{i}]" for i in index)
+    rule = "must be finite" if finite_rule else r"are \[re, im\] number pairs"
+    with pytest.raises(FrameFileError, match=rf"^{re.escape(where)}: complex values {rule}, got "):
+        _array_in(node, ndim, "x")
+
+
+def test_a_huge_malformed_value_is_shown_cut_short():
+    """A 1 MB list at a pair's place is shown by its first elements."""
+    root = json.loads(MERCEDES_TEXT)
+    in_vectors([1.0] * 200_000)(root)
+    text = json.dumps(root)
+    assert len(text) > 1_000_000
+    with pytest.raises(FrameFileError) as err:
+        parse_document(text)
+    message = str(err.value)
+    assert message.startswith("$.vectors[1][0]: complex values are [re, im] number pairs, got [1.0, 1.0, ")
+    assert len(message) < 200
+
+
+#: large values wherever a file's value is shown in an error: a long
+#: string, an integer of 4,000 digits, a wide object, a nested list of
+#: 10^4 leaves, and many unknown keys
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r.update(format_version="x" * 100_000),
+        lambda r: r.update(dim=-(10**4_000)),
+        lambda r: r.update(dim={str(k): k for k in range(10_000)}),
+        lambda r: r["vectors"][1].__setitem__(0, [[[1.0] * 10] * 10] * 100),
+        lambda r: r.update({f"key{k}": k for k in range(10_000)}),
+        lambda r: (r.pop("vectors"), r.update(operators=[[[[1.0, 0.0]] * w for w in range(1, 1_000)]])),
+    ],
+    ids=["format-version", "dim-int", "dim-object", "nested-pair", "unknown-keys", "ragged-widths"],
+)
+def test_every_error_message_stays_short(mutate):
+    root = json.loads(MERCEDES_TEXT)
+    mutate(root)
+    with pytest.raises(FrameFileError) as err:
+        parse_document(json.dumps(root))
+    assert len(str(err.value)) < 200
+
+
+#: JSON texts json.loads cannot decode: an array nested deeper than its
+#: recursion limit and an integer beyond Python's 4,300-digit conversion limit
+UNDECODABLE = {"too-deep": "[" * 100_000 + "]" * 100_000, "long-integer": "1" * 5_000}
+
+
+@pytest.mark.parametrize("text", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+@pytest.mark.parametrize("load", [load_document, load_signal])
+def test_json_that_cannot_be_decoded_is_a_parse_error(tmp_path, load, text):
+    path = tmp_path / "undecodable.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FrameFileError, match="^not valid JSON: "):
+        load(path)
 
 
 def test_overflowing_literal_is_rejected():
