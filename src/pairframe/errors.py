@@ -8,9 +8,8 @@ for garden-variety argument abuse. Each bad argument raises one error:
   :class:`DimensionMismatchError`;
 - a non-finite entry in a vector or matrix argument, or a non-finite
   scalar argument such as ``alpha``: ``ValueError``;
-- a count (``ambient_dim``, ``N``, ``N_max``, ``restarts``, ``seed``) that
-  is not an integer: ``TypeError``; one out of its range: ``ValueError``;
-  both name it;
+- a count (``ambient_dim``, ``N``, ``N_max``) that is not an integer:
+  ``TypeError``; one out of its range: ``ValueError``; both name it;
 - a malformed generator spec, its sizes included: :class:`InvalidSpecError`.
 """
 

@@ -32,6 +32,9 @@ _SHIFT = 0.8
 _MERGE_EVERY = 8
 #: two unit iterates meet once |<x_a, x_b>| >= 1 - _MERGE_TOL
 _MERGE_TOL = 1e-6
+#: random unit starts of every ascent, drawn from PCG64(_START_SEED)
+_RANDOM_STARTS = 32
+_START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -286,18 +289,14 @@ def _ascent(family: OperatorFamily, p: float, X: np.ndarray) -> float:
     return float(best)
 
 
-def p_bessel_bound(
-    family: OperatorFamily,
-    p: float,
-    restarts: int = 32,
-    seed: int = 0,
-) -> float:
+def p_bessel_bound(family: OperatorFamily, p: float) -> float:
     """Estimate of B_p = sup over unit f of sum_i ||L_i f||^p.
 
     At p = 2 this is the top eigenvalue of the frame operator sum_i L_i^H L_i,
     returned with no iteration. Any other p runs a shifted generalized power
-    method on the complex unit sphere from ``restarts`` random starts, drawn
-    from ``seed``, plus the top eigenvector of the frame operator. Let
+    method on the complex unit sphere from fixed starts: the top eigenvector
+    of the frame operator and _RANDOM_STARTS random ones drawn from
+    PCG64(_START_SEED), the same for every family of a dimension. Let
     g = sum_i p ||L_i f||^(p-2) L_i^H L_i f be the gradient of
     phi(f) = sum_i ||L_i f||^p; members with L_i f = 0 contribute nothing,
     so p = 1 takes a subgradient. By Euler's identity c = Re<g, f> = p phi(f).
@@ -324,23 +323,19 @@ def p_bessel_bound(
     steps. Neither the step, the merge, the jump nor the stop sees the
     scale of the family, so B_p(cL) = |c|^p B_p(L). Every iterate is a unit
     vector, so the largest phi seen, which is returned, is a certified
-    lower estimate of the true supremum.
-
-    ``restarts`` must be an integer >= 1 and ``seed`` one >= 0; an estimate
-    beyond the floating-point range raises ``PairFrameError``.
+    lower estimate of the true supremum. An estimate beyond the
+    floating-point range raises ``PairFrameError``.
     """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
         raise InvalidExponentError(f"exponent must satisfy p >= 1, got {p}")
-    restarts = spectral._check_count(restarts, "restarts", least=1)
-    seed = spectral._check_count(seed, "seed")
     evals, evecs = np.linalg.eigh(frame_operator(family))
     if p == 2.0:
         best = float(evals[-1])
     else:
-        n = family.ambient_dim
-        rng = np.random.Generator(np.random.PCG64(seed))
-        starts = rng.standard_normal((n, restarts)) + 1j * rng.standard_normal((n, restarts))
+        rng = np.random.Generator(np.random.PCG64(_START_SEED))
+        shape = (family.ambient_dim, _RANDOM_STARTS)
+        starts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         X = np.concatenate([evecs[:, -1:], starts], axis=1)
         best = _ascent(family, p, X / np.linalg.norm(X, axis=0))
     if not math.isfinite(best):
@@ -356,23 +351,17 @@ class PqBoundReport(NamedTuple):
     paper_bound: float
 
 
-def pq_pair_norm_bound(
-    system: PairSystem,
-    p: float,
-    q: float,
-    restarts: int = 32,
-    seed: int = 0,
-) -> PqBoundReport:
+def pq_pair_norm_bound(system: PairSystem, p: float, q: float) -> PqBoundReport:
     """Norm of S against the Hoelder bound from (p,q)-Bessel constants.
 
     With B and B' the :func:`p_bessel_bound` estimates for Gamma (p) and
-    Lambda (q), ``holder_bound`` is sup|m_i| * B^(1/p) * B'^(1/q), the form
-    the Cauchy-Schwarz/Hoelder chain yields. It dominates norm(S) only for
-    the exact constants, and these estimates are lower ones, so it is not a
-    proven upper bound on norm(S).
+    Lambda (q), both from the estimator's fixed starts, ``holder_bound`` is
+    sup|m_i| * B^(1/p) * B'^(1/q), the form the Cauchy-Schwarz/Hoelder
+    chain yields. It dominates norm(S) only for the exact constants, and
+    these estimates are lower ones, so it is not a proven upper bound on
+    norm(S).
     ``paper_bound`` is the square root of the same expression, reported for
-    comparison; it may fall below norm(S). ``seed`` (Gamma's; Lambda takes
-    seed + 1) must be an integer >= 0.
+    comparison; it may fall below norm(S).
     """
     p = float(p)
     q = float(q)
@@ -380,9 +369,8 @@ def pq_pair_norm_bound(
         raise InvalidExponentError(f"exponents must satisfy p, q >= 1, got p={p}, q={q}")
     if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise ExponentMismatchError(f"1/p + 1/q = {1.0 / p + 1.0 / q!r}, expected 1")
-    seed = spectral._check_count(seed, "seed")
-    b_gamma = p_bessel_bound(system.gamma, p, restarts=restarts, seed=seed)
-    b_lam = p_bessel_bound(system.lam, q, restarts=restarts, seed=seed + 1)
+    b_gamma = p_bessel_bound(system.gamma, p)
+    b_lam = p_bessel_bound(system.lam, q)
     holder = system.m.sup_norm * b_gamma ** (1.0 / p) * b_lam ** (1.0 / q)
     return PqBoundReport(
         norm=spectral.op_norm(pair_operator(system)),

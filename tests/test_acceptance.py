@@ -211,7 +211,7 @@ def test_criterion_6_holder_bound():
         p = exponents[k % 4]
         q = p / (p - 1.0)
         sys = random_pair_system(2000 + k, dim=2 + k % 3, count=4 + k % 3)
-        rep = pq_pair_norm_bound(sys, p, q, restarts=12, seed=k)
+        rep = pq_pair_norm_bound(sys, p, q)
         if rep.norm > rep.holder_bound + 1e-6:
             failures.append(
                 f"seed {2000 + k} (p={p}): norm {rep.norm} > bound {rep.holder_bound}"

@@ -387,23 +387,23 @@ def _objective_args(family: OperatorFamily, p: float) -> tuple:
     return family.stacked, np.array(family.offsets), np.array(family.codims), float(p)
 
 
-def _starts(family: OperatorFamily, restarts: int, seed: int) -> np.ndarray:
+def _starts(family: OperatorFamily) -> np.ndarray:
     """The unit starts of p_bessel_bound: the top eigenvector of the frame
-    operator, then ``restarts`` random ones drawn from ``seed``."""
-    n = family.ambient_dim
-    rng = np.random.Generator(np.random.PCG64(seed))
-    starts = rng.standard_normal((n, restarts)) + 1j * rng.standard_normal((n, restarts))
+    operator, then _RANDOM_STARTS random ones drawn from PCG64(_START_SEED)."""
+    shape = (family.ambient_dim, pairs._RANDOM_STARTS)
+    rng = np.random.Generator(np.random.PCG64(pairs._START_SEED))
+    starts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     _, top_vec = np.linalg.eigh(frame_operator(family))
     X = np.concatenate([top_vec[:, -1:], starts], axis=1)
     return X / np.linalg.norm(X, axis=0)
 
 
-def _plain_power_bound(family: OperatorFamily, p: float, restarts: int = 32, seed: int = 0) -> float:
+def _plain_power_bound(family: OperatorFamily, p: float) -> float:
     """p_bessel_bound with the plain power step x <- g/||g|| and no merging
     (the same starts, tolerance and step budget): the reference the shifted
     iteration must not fall below."""
     args = _objective_args(family, p)
-    X = _starts(family, restarts, seed)
+    X = _starts(family)
     phi, grad = pairs._objective_grad(*args, X)
     best = phi.max()
     for _ in range(pairs._MAX_ITERS):
@@ -418,12 +418,12 @@ def _plain_power_bound(family: OperatorFamily, p: float, restarts: int = 32, see
     return float(best)
 
 
-def _unaccelerated_bound(family: OperatorFamily, p: float, restarts: int = 32, seed: int = 0) -> float:
+def _unaccelerated_bound(family: OperatorFamily, p: float) -> float:
     """p_bessel_bound at any p without the Aitken jumps: the shifted,
     merged iteration from the same starts, tolerance and step budget, the
     reference the jumps must not fall below."""
     args = _objective_args(family, p)
-    X = _starts(family, restarts, seed)
+    X = _starts(family)
     phi, grad = pairs._objective_grad(*args, X)
     best = phi.max()
     for step in range(pairs._MAX_ITERS):
@@ -448,8 +448,8 @@ def test_p_bessel_is_no_lower_than_the_plain_power_step():
     iteration ends no lower than the plain step from the same starts."""
     for k, fam in enumerate(_small_corpus()):
         for p in (1.0, 1.5, 2.0, 3.0, 4.0):
-            new = p_bessel_bound(fam, p, restarts=12, seed=k)
-            old = _plain_power_bound(fam, p, restarts=12, seed=k)
+            new = p_bessel_bound(fam, p)
+            old = _plain_power_bound(fam, p)
             assert new >= old * (1.0 - 1e-12), (k, p, new, old)
 
 
@@ -560,15 +560,15 @@ def test_aitken_jumps_end_no_lower_than_the_unaccelerated_iteration():
     """On the small corpus at p in {1, 1.5, 3, 4} and on eight n = 32
     families at p = 3 and 1.5, the estimate with the jumps is at least the
     unaccelerated one from the same starts."""
-    cases = [(fam, p, 12, k) for k, fam in enumerate(_small_corpus()) for p in (1.0, 1.5, 3.0, 4.0)]
+    cases = [(fam, p) for fam in _small_corpus() for p in (1.0, 1.5, 3.0, 4.0)]
     for k in range(8):
         fam = generate(GenSpec("random_gframe", dim=32, count=64, seed=100 + k,
                                params={"codim": 1 + k % 3}))
-        cases += [(fam, p, 32, k) for p in (3.0, 1.5)]
-    for fam, p, restarts, seed in cases:
-        new = p_bessel_bound(fam, p, restarts=restarts, seed=seed)
-        ref = _unaccelerated_bound(fam, p, restarts=restarts, seed=seed)
-        assert new >= ref * (1.0 - 1e-12), (fam.ambient_dim, p, seed, new, ref)
+        cases += [(fam, p) for p in (3.0, 1.5)]
+    for k, (fam, p) in enumerate(cases):
+        new = p_bessel_bound(fam, p)
+        ref = _unaccelerated_bound(fam, p)
+        assert new >= ref * (1.0 - 1e-12), (k, fam.ambient_dim, p, new, ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -626,15 +626,13 @@ def test_p_bessel_rejects_bad_arguments():
         p_bessel_bound(basis, 0.5)
     with pytest.raises(InvalidExponentError):
         p_bessel_bound(basis, float("nan"))
-    with pytest.raises(ValueError, match="restarts must be >= 1"):
-        p_bessel_bound(basis, 2.0, restarts=0)
-    with pytest.raises(TypeError, match="restarts must be an integer, got 2.5"):
-        p_bessel_bound(basis, 3.0, restarts=2.5)
-    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
-        p_bessel_bound(basis, 3.0, seed=1.5)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        p_bessel_bound(basis, 3.0, seed=-1)
-    assert p_bessel_bound(basis, 4.0, restarts=np.int64(2), seed=np.uint8(1)) == pytest.approx(1.0)
+    # the starts are fixed: neither estimator takes a knob for them
+    system = PairSystem(np.ones(2), basis, basis)
+    for knob in ("restarts", "seed"):
+        with pytest.raises(TypeError, match=knob):
+            p_bessel_bound(basis, 3.0, **{knob: 1})
+        with pytest.raises(TypeError, match=knob):
+            pq_pair_norm_bound(system, 3.0, 1.5, **{knob: 1})
 
 
 def test_pq_bound_mercedes():
@@ -651,23 +649,24 @@ def test_pq_bound_mercedes():
 def test_pq_bound_dominates_norm():
     for k, (p, q) in enumerate([(2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (4.0, 4.0 / 3.0)]):
         sys = random_pair_system(600 + k, dim=3, count=5)
-        rep = pq_pair_norm_bound(sys, p, q, seed=k)
+        rep = pq_pair_norm_bound(sys, p, q)
         assert rep.norm <= rep.holder_bound + 1e-6
         assert rep.paper_bound == pytest.approx(np.sqrt(rep.holder_bound))
 
 
-def test_pq_bound_seed_takes_the_integer_rule():
-    """A numpy seed is read as its value before Lambda's seed + 1 is formed,
-    so np.uint8(255) gives 256 there, not a wrapped 0 and a warning."""
-    sys = random_pair_system(52, dim=3, count=5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = pq_pair_norm_bound(sys, 3.0, 1.5, restarts=4, seed=np.uint8(255))
-    assert rep == pq_pair_norm_bound(sys, 3.0, 1.5, restarts=4, seed=255)
-    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
-        pq_pair_norm_bound(sys, 2.0, 2.0, seed=1.5)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        pq_pair_norm_bound(sys, 2.0, 2.0, seed=-1)
+def test_holder_bound_is_one_route_through_the_p_bessel_estimates():
+    """holder_bound is sup|m| * B_p(Gamma)^(1/p) * B_q(Lambda)^(1/q) with the
+    estimates p_bessel_bound gives each family on its own, bit for bit,
+    Gamma = Lambda included, and a repeated call repeats the report."""
+    systems = [random_pair_system(70 + k, dim=3 + k, count=5 + k) for k in range(3)]
+    systems.append(PairSystem(systems[0].m, systems[0].gamma, systems[0].gamma))
+    for k, sys in enumerate(systems):
+        for p, q in ((3.0, 1.5), (1.5, 3.0), (4.0, 4.0 / 3.0)):
+            rep = pq_pair_norm_bound(sys, p, q)
+            b_gamma = p_bessel_bound(sys.gamma, p) ** (1.0 / p)
+            b_lam = p_bessel_bound(sys.lam, q) ** (1.0 / q)
+            assert rep.holder_bound == sys.m.sup_norm * b_gamma * b_lam, (k, p)
+            assert pq_pair_norm_bound(sys, p, q) == rep, (k, p)
 
 
 def test_pq_bound_exponent_validation():
