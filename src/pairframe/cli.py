@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import fileformat, generators, neumann, pairs, spectral
+from . import fileformat, generators, neumann, spectral
 from .errors import (
     DimensionMismatchError,
     FrameFileError,
@@ -64,14 +64,6 @@ def _alpha(text: str):
         ) from None
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite number >= 0."""
-    try:
-        return spectral._check_tol(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
-
-
 def _order(text: str) -> int:
     """argparse type for --N: an integer in [0, neumann.MAX_ORDER]."""
     try:
@@ -103,7 +95,7 @@ def _report(args, command: str, fields, table=()) -> None:
 
 def cmd_frame_analyze(args) -> int:
     doc = fileformat.load_document(args.path)
-    rep = classify(doc.lam, args.tol)
+    rep = classify(doc.lam)
     lower, upper = rep.bounds.lower, rep.bounds.upper
     _report(args, "frame analyze", [
         ("members", None, doc.lam.count),
@@ -127,7 +119,7 @@ def cmd_pair_analyze(args) -> int:
     doc = fileformat.load_document(args.path)
     defaulted = doc.gamma is None
     system = doc.pair_system()
-    rep = classify_pair(system, tol=args.tol)
+    rep = classify_pair(system)
     near = neumann.find_alpha(rep.S)
     _report(args, "pair analyze", [
         ("members", None, system.count),
@@ -198,7 +190,7 @@ def cmd_dual(args) -> int:
     pair_keys = [key for key in ("gamma", "weights") if getattr(doc, key) is not None]
     if pair_keys:
         raise FrameFileError(f"dual writes a frame file; it would drop the pair keys {pair_keys}")
-    dual = canonical_dual(doc.lam, args.tol)
+    dual = canonical_dual(doc.lam)
     out = fileformat.FrameDocument(dim=doc.dim, lam=dual, lam_encoding=doc.lam_encoding)
     sys.stdout.write(fileformat.serialize_document(out))
     return 0
@@ -251,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     frame_sub = frame.add_subparsers(dest="subcommand", required=True)
     fa = frame_sub.add_parser("analyze", help="frame/Bessel classification")
     fa.add_argument("path")
-    fa.add_argument("--tol", type=_tolerance, default=None, help="absolute frame threshold")
     fa.add_argument("--format", choices=("text", "json"), default="text")
     fa.set_defaults(func=cmd_frame_analyze)
 
@@ -259,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     pair_sub = pair.add_subparsers(dest="subcommand", required=True)
     pa = pair_sub.add_parser("analyze", help="pair-frame verdict and bounds")
     pa.add_argument("path")
-    pa.add_argument("--tol", type=_tolerance, default=pairs.PAIR_TOL)
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=cmd_pair_analyze)
 
@@ -275,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     du = sub.add_parser("dual", help="canonical dual as a frame file")
     du.add_argument("path")
-    du.add_argument("--tol", type=_tolerance, default=None)
     du.set_defaults(func=cmd_dual)
 
     ge = sub.add_parser("gen", help="write a generated frame file")

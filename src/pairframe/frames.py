@@ -19,7 +19,7 @@ import numpy as np
 from . import spectral
 from .errors import DimensionMismatchError, NotAFrameError
 
-#: default relative threshold on lambda_min for the frame verdict
+#: relative threshold on lambda_min for the frame verdict
 FRAME_TOL = 1e-10
 
 
@@ -99,7 +99,7 @@ def synthesis(family: OperatorFamily, h) -> np.ndarray:
 def frame_operator(family: OperatorFamily) -> np.ndarray:
     """S = sum of L_i^H L_i = L^H L for the stacked family L, hermitian
     positive semidefinite by construction. Raises ``PairFrameError`` when
-    an entry of S overflows."""
+    an entry of S overflows, or when S is nonzero and subnormal."""
     return spectral._product("frame operator", family.stacked.conj().T, family.stacked)
 
 
@@ -136,31 +136,26 @@ def _regroup(family: OperatorFamily, stacked: np.ndarray) -> OperatorFamily:
     return OperatorFamily([stacked[s : s + d] for s, d in zip(family.offsets, family.codims)])
 
 
-def _spectrum(family: OperatorFamily, tol: float | None) -> tuple[np.ndarray, FrameBounds, bool]:
+def _spectrum(family: OperatorFamily) -> tuple[np.ndarray, FrameBounds, bool]:
     """The frame operator S, the frame bounds and the frame verdict, all from
     one ``eigvalsh`` of S; :func:`classify` and :func:`canonical_dual` share it."""
-    if tol is not None:
-        spectral._check_tol(tol)
     s = frame_operator(family)
     # L^H L is hermitian by construction, so no hermiticity check is needed
     w = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
     lmin, lmax = float(w[0]), max(0.0, float(w[-1]))
-    is_frame = lmin > (FRAME_TOL * lmax if tol is None else tol)
-    return s, FrameBounds(lower=max(0.0, lmin), upper=lmax), is_frame
+    return s, FrameBounds(lower=max(0.0, lmin), upper=lmax), lmin > FRAME_TOL * lmax
 
 
-def classify(family: OperatorFamily, tol: float | None = None) -> ClassificationReport:
+def classify(family: OperatorFamily) -> ClassificationReport:
     """Classify a family as Bessel/frame from its frame operator spectrum.
 
     Any finite family is Bessel with optimal upper bound lambda_max(S). The
-    frame verdict is lambda_min(S) > tol, where ``tol`` defaults to the
-    relative threshold FRAME_TOL * lambda_max; passing an explicit ``tol``
-    makes the threshold absolute. S is positive semidefinite, so these
+    frame verdict is lambda_min(S) > FRAME_TOL * lambda_max(S), which no
+    scaling of the family changes. S is positive semidefinite, so these
     eigenvalues are its singular values: invertibility is certified at the
-    same threshold. One SVD measures the residual of a frame. A negative or
-    non-finite ``tol`` raises ``ValueError``.
+    same threshold. One SVD measures the residual of a frame.
     """
-    s, bounds, is_frame = _spectrum(family, tol)
+    s, bounds, is_frame = _spectrum(family)
     alpha_star = residual = None
     if is_frame:
         alpha_star = 1.0 / bounds.upper
@@ -176,16 +171,15 @@ def classify(family: OperatorFamily, tol: float | None = None) -> Classification
     )
 
 
-def canonical_dual(family: OperatorFamily, tol: float | None = None) -> OperatorFamily:
+def canonical_dual(family: OperatorFamily) -> OperatorFamily:
     """Dual family {L_i S^-1} realizing perfect reconstruction.
 
     synthesis(dual, analysis(family, f)) recovers f for every f, since the
     composition sums to S^-1 S; for hermitian S the stacked dual
     L S^-1 = (S^-1 L^H)^H is one solve. Raises ``NotAFrameError`` when the
-    family is not a frame at the given tolerance, and ``ValueError`` for a
-    negative or non-finite ``tol``.
+    family is not a frame by the verdict of :func:`classify`.
     """
-    s, bounds, is_frame = _spectrum(family, tol)
+    s, bounds, is_frame = _spectrum(family)
     if not is_frame:
         raise NotAFrameError(f"frame operator has lambda_min = {bounds.lower:.3e}; no bounded dual")
     return _regroup(family, np.linalg.solve(s, family.stacked.conj().T).conj().T)

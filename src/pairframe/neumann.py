@@ -207,7 +207,9 @@ def find_alpha(S) -> NearIdentityReport:
     If the best residual does not clear 1 - NEAR_IDENTITY_GUARD, the verdict
     is no, and by convention the report holds the best of HOPELESS_RING
     points on the ring |alpha| = 1/(10 norm(S)), each scored by an exact
-    SVD, the first on a tie. S = 0 yields alpha = 0 and residual 1.
+    SVD, the first on a tie. S = 0 yields alpha = 0 and residual 1. All of
+    this runs on S scaled exactly by a power of two to norm in [0.5, 1); a
+    nonzero S whose norm is below the normal range raises ``PairFrameError``.
 
     ``residual_gap`` is the residual minus the certified lower bound: LB on
     the cut path, 1 for a hermitian S that is not definite, and for
@@ -224,6 +226,9 @@ def find_alpha(S) -> NearIdentityReport:
             alpha=0j, residual=1.0, is_near_identity=False, is_positive_variant=False,
             method="closed form", cuts=0, residual_gap=0.0,
         )
+
+    scale = spectral._unit_scale(onorm)
+    s, onorm = s * scale, onorm * scale
 
     # a hermitian S that is not definite has 0 in W(S): the infimum is 1
     best_alpha, best_res, lb, cuts, method = 0j, 1.0, 1.0, 0, "closed form"
@@ -250,7 +255,7 @@ def find_alpha(S) -> NearIdentityReport:
 
     positive = hermitian and abs(best_alpha.imag) <= 1e-12 * abs(best_alpha) and best_alpha.real > 0
     return NearIdentityReport(
-        alpha=best_alpha,
+        alpha=best_alpha * scale,
         residual=best_res,
         is_near_identity=best_res < 1.0 - NEAR_IDENTITY_GUARD,
         is_positive_variant=positive,

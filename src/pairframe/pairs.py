@@ -20,7 +20,7 @@ from .errors import (
 )
 from .frames import OperatorFamily, _regroup, frame_operator
 
-#: default relative invertibility threshold for the pair-frame verdict
+#: relative invertibility threshold for the pair-frame verdict
 PAIR_TOL = 1e-10
 
 _GRAD_TOL = 1e-9
@@ -111,7 +111,7 @@ def pair_operator(system: PairSystem) -> np.ndarray:
 
     Gamma and Lambda are the stacked families and each weight is repeated
     over its member's d_i rows, so the sum is one matrix product. Raises
-    ``PairFrameError`` when an entry of S overflows.
+    ``PairFrameError`` when an entry of S overflows, or S is nonzero and subnormal.
     """
     wexp = np.repeat(system.m.as_array(), system.gamma.codims)
     gamma_h = system.gamma.stacked.conj().T
@@ -158,20 +158,18 @@ class PairReport:
     adjoint_residual: float
 
 
-def classify_pair(system: PairSystem, tol: float = PAIR_TOL) -> PairReport:
+def classify_pair(system: PairSystem) -> PairReport:
     """Pair-frame verdict with frame-like constants and adjoint residual.
 
-    The verdict is sigma_min(S) > tol * sigma_max(S); the frame-like
-    constants are the distance of the numerical range of S from the origin
-    and the numerical radius, bracketed by
+    The verdict is sigma_min(S) > PAIR_TOL * sigma_max(S), free of scale;
+    the frame-like constants are the distance of the numerical range of S
+    from the origin and the numerical radius, bracketed by
     :func:`spectral.numerical_range_bracket` with the norm from the one SVD.
-    A negative or non-finite ``tol`` raises ``ValueError``.
     """
-    spectral._check_tol(tol)
     s = pair_operator(system)
     svals = np.linalg.svd(s, compute_uv=False)
     onorm, smin = float(svals[0]), float(svals[-1])
-    invertible = smin > tol * onorm
+    invertible = smin > PAIR_TOL * onorm
     nr = spectral._numerical_range_bracket(s, onorm)
     return PairReport(
         S=s,
@@ -190,8 +188,8 @@ def compose(system: PairSystem, V, W) -> PairSystem:
     """The system (m, {Gamma_i V}, {Lambda_i W}).
 
     Its pair operator is V^H S W, so composing with invertible V, W
-    preserves the pair-frame property. Raises ``PairFrameError`` when an
-    entry of a composed family overflows.
+    preserves the pair-frame property. Raises ``PairFrameError`` when a
+    composed family overflows or is nonzero and subnormal.
     """
     n = system.ambient_dim
     v = spectral.as_matrix(V)
@@ -323,8 +321,8 @@ def p_bessel_bound(family: OperatorFamily, p: float) -> float:
     steps. Neither the step, the merge, the jump nor the stop sees the
     scale of the family, so B_p(cL) = |c|^p B_p(L). Every iterate is a unit
     vector, so the largest phi seen, which is returned, is a certified
-    lower estimate of the true supremum. An estimate beyond the
-    floating-point range raises ``PairFrameError``.
+    lower estimate of the true supremum. A nonzero family whose estimate
+    leaves the normal floating-point range raises ``PairFrameError``.
     """
     p = float(p)
     if not math.isfinite(p) or p < 1.0:
@@ -340,6 +338,8 @@ def p_bessel_bound(family: OperatorFamily, p: float) -> float:
         best = _ascent(family, p, X / np.linalg.norm(X, axis=0))
     if not math.isfinite(best):
         raise PairFrameError(f"p-Bessel estimate overflows at p = {p}")
+    if best < spectral._TINY and family.stacked.any():
+        raise PairFrameError(f"p-Bessel estimate underflows at p = {p}")
     return best
 
 

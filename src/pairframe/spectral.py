@@ -26,6 +26,7 @@ THETA_STEPS = 720
 REFINE_ITERS = 30
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 #: eigen-solves of one sweep
 _SWEEP_SOLVES = THETA_STEPS // 2 + 4 * REFINE_ITERS
 #: the bracket's width target relative to norm(M), before the n*eps pad
@@ -73,13 +74,6 @@ def op_norm(M) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _check_tol(tol: float) -> float:
-    """``tol`` itself when it is finite and >= 0; ValueError otherwise."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    return tol
-
-
 def _check_count(value, name: str, least: int = 0) -> int:
     """``value`` as an int when it is an integer >= ``least``; a TypeError
     or ValueError naming ``name`` otherwise."""
@@ -93,13 +87,24 @@ def _check_count(value, name: str, least: int = 0) -> int:
 
 
 def _product(name: str, a: np.ndarray, b: np.ndarray, scale=None) -> np.ndarray:
-    """(a * scale) @ b, or a @ b without ``scale``; an entry beyond the
-    floating-point range raises ``PairFrameError`` naming the operator."""
+    """(a * scale) @ b, or a @ b without ``scale``. ``PairFrameError`` names
+    the operator if an entry overflows or all nonzero entries are subnormal."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = (a if scale is None else a * scale) @ b
     if not np.isfinite(out).all():
         raise PairFrameError(f"{name} overflows: its entries exceed the floating-point range")
+    top = float(np.abs(out).max(initial=0.0))
+    if 0.0 < top < _TINY:
+        raise PairFrameError(f"{name} underflows: its largest entry {top:.3e} is subnormal")
     return out
+
+
+def _unit_scale(norm: float) -> float:
+    """The power of two that brings ``norm`` into [0.5, 1), exact to scale
+    by; a nonzero norm below the normal range raises ``PairFrameError``."""
+    if 0.0 < norm < _TINY:
+        raise PairFrameError(f"matrix underflows: its norm {norm:.3e} is below the normal range")
+    return 2.0 ** -math.frexp(norm)[1]
 
 
 def _hermitian_skew(m: np.ndarray, norm: float) -> tuple[float, bool]:
@@ -158,6 +163,8 @@ def numerical_range_bracket(M) -> NumericalRangeBracket:
     1e-13 * norm(M) plus an n * eps pad, or until _BRACKET_MAX_SOLVES
     solves (a boundary arc centred on the origin, as for a Jordan block,
     can only be bracketed to the wedge factor 1/cos(dphi/2) at that cap).
+    Both run on M scaled exactly by a power of two to norm in [0.5, 1); a
+    nonzero M whose norm is below the normal range raises ``PairFrameError``.
     """
     m = _square_matrix(M)
     return _numerical_range_bracket(m, op_norm(m))
@@ -168,12 +175,15 @@ def _numerical_range_bracket(m: np.ndarray, norm: float) -> NumericalRangeBracke
     n = m.shape[0]
     if n == 0:
         return NumericalRangeBracket(0.0, 0.0, 0.0, 0.0, 0)
+    scale = _unit_scale(norm)
+    m, norm = m * scale, norm * scale
     mh = m.conj().T
     skew, hermitian = _hermitian_skew(m, norm)
     if hermitian:
         dist, radius = _sweep(m, mh)
         pad = 0.5 * skew
-        return NumericalRangeBracket(dist, dist + pad, radius, radius + pad, _SWEEP_SOLVES)
+        ends = dist, dist + pad, radius, radius + pad
+        return NumericalRangeBracket(*(end / scale for end in ends), _SWEEP_SOLVES)
 
     target = (_BRACKET_WIDTH + n * np.finfo(float).eps) * norm
     support = _Support(m, mh)
@@ -202,7 +212,8 @@ def _numerical_range_bracket(m: np.ndarray, norm: float) -> NumericalRangeBracke
     support.refresh()
     r_lo, r_hi, _ = support.radius()
     d_lo, d_hi = support.distance()[:2]
-    return NumericalRangeBracket(d_lo, max(d_hi, d_lo), r_lo, max(r_hi, r_lo), support.solves)
+    ends = d_lo, max(d_hi, d_lo), r_lo, max(r_hi, r_lo)
+    return NumericalRangeBracket(*(end / scale for end in ends), support.solves)
 
 
 class _Support:

@@ -137,6 +137,26 @@ def family_for(spec: GenSpec) -> OperatorFamily:
     return generate(spec)
 
 
+#: exponents k of the scale tests: 2^k S is outside the range where an
+#: unscaled alpha search or numerical-range bracket works
+SCALE_EXPONENTS = [-900, -600, 600, 900]
+
+
+def scale_matrices() -> list:
+    """(name, S) of the scale tests: the near-identity
+    S0 = e^{0.4i} (I + 0.3 G / sqrt 8), G complex gaussian from
+    default_rng(1); the operator of fixtures/complex_weights.json; and the
+    hermitian definite frame operator of a random frame."""
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    frame = generate(GenSpec("random_frame", dim=6, count=18, seed=4)).stacked
+    return [
+        ("near-identity", np.exp(0.4j) * (np.eye(8) + 0.3 * g / np.sqrt(8))),
+        ("complex-weights", np.diag([1.0, 0.8j, 0.5 + 0.5j])),
+        ("hermitian", frame.conj().T @ frame),
+    ]
+
+
 # Reference routes: the operators summed member by member, independent of the
 # library's stacked factorizations L^H L and Gamma^H diag(m) Lambda.
 

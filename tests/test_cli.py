@@ -82,7 +82,7 @@ NUMPY_ONLY_CASES = [
     case for case in GOLDEN_CASES
     if case[1] in {"pair_analyze_swap.txt", "pair_analyze_swap.json",
                    "pair_analyze_complex_weights.txt", "frame_analyze_mercedes.txt",
-                   "neumann_diag13.txt"}
+                   "neumann_diag13.txt", "dual_mercedes.json"}
 ]
 #: ``python -m pairframe`` in an interpreter that cannot import the test-only packages
 NUMPY_ONLY = (
@@ -94,7 +94,7 @@ NUMPY_ONLY = (
 
 @pytest.mark.parametrize("args,golden", NUMPY_ONLY_CASES, ids=[g for _, g in NUMPY_ONLY_CASES])
 def test_numpy_only_runtime_matches_the_goldens(args, golden):
-    """The offline twin of CI's numpy-only install step: each of its five
+    """The offline twin of CI's numpy-only install step: each of its six
     commands runs with scipy, hypothesis and pytest unimportable and still
     prints its golden, with nothing on stderr."""
     proc = subprocess.run(
@@ -170,6 +170,24 @@ def test_overflowing_operator_exits_2(tmp_path, capsys, text, command):
     assert cli.main([*command, str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "operator overflows" in err
+
+
+TINY_VECTORS = (
+    '{"format_version": "1", "dim": 2, "vectors": '
+    "[[[1e-156, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-156, 0.0]]]}"
+)
+
+
+@pytest.mark.parametrize("command", [["frame", "analyze"], ["dual"], ["pair", "analyze"], ["neumann"]],
+                         ids=["frame", "dual", "pair", "neumann"])
+def test_underflowing_operator_exits_2(tmp_path, command):
+    """Finite entries whose operator S = 1e-312 I lies below the normal
+    range raise a named error instead of a ValueError traceback."""
+    path = tmp_path / "tiny.json"
+    path.write_text(TINY_VECTORS, encoding="utf-8")
+    proc = run_cli(*command, str(path), check_exit=2)
+    assert proc.stdout == b"" and b"operator underflows" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_unsupported_version_exits_2():
@@ -377,23 +395,37 @@ def test_neumann_rejects_bad_arguments_with_exit_2(args, where):
 @pytest.mark.parametrize(
     "args",
     [
-        ("pair", "analyze", str(FIX / "swap_pair.json"), "--tol", "nan"),
-        ("frame", "analyze", str(FIX / "mercedes.json"), "--tol", "nan"),
-        ("frame", "analyze", str(FIX / "rank_deficient2.json"), "--tol", "-1"),
-        ("dual", str(FIX / "mercedes.json"), "--tol", "inf"),
+        ("pair", "analyze", str(FIX / "swap_pair.json")),
+        ("frame", "analyze", str(FIX / "mercedes.json")),
+        ("dual", str(FIX / "mercedes.json")),
     ],
-    ids=["pair-nan", "frame-nan", "frame-negative", "dual-inf"],
+    ids=["pair", "frame", "dual"],
 )
-def test_tol_rejects_non_finite_or_negative_with_exit_2(args):
-    """Every comparison with a NaN tolerance is false, so it would flip the
-    verdicts; a negative one breaks the frame analysis."""
-    proc = run_cli(*args, check_exit=2)
-    assert b"argument --tol" in proc.stderr
+def test_tol_is_an_unrecognized_argument(args):
+    """The verdicts have fixed relative thresholds, so no command takes --tol."""
+    proc = run_cli(*args, "--tol", "1e-6", check_exit=2)
+    assert b"unrecognized arguments: --tol" in proc.stderr
     assert b"Traceback" not in proc.stderr
 
 
 #: a non-hermitian near-identity system: S = diag(1, 0.8i, 0.5 + 0.5i)
 COMPLEX_WEIGHTS = FIX / "complex_weights.json"
+
+
+@pytest.mark.parametrize("c", [1e-130, 1e-60, 1e60, 1e80])
+def test_pair_analyze_verdicts_are_scale_free(tmp_path, capsys, c):
+    """complex_weights.json with its vectors scaled by c, so S by c^2, keeps
+    the golden's scale-free lines, where an unscaled alpha search ends in a
+    NaN alpha or the ring."""
+    doc = json.loads(COMPLEX_WEIGHTS.read_text(encoding="utf-8"))
+    doc["vectors"] = (c * np.array(doc["vectors"])).tolist()
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["pair", "analyze", str(path)]) == 0
+    golden = (GOLD / "pair_analyze_complex_weights.txt").read_text(encoding="utf-8").splitlines()
+    out = capsys.readouterr().out.splitlines()
+    keep = ("pair frame:", "condition number:", "alpha residual:", "near identity:")
+    assert [s for s in out if s.startswith(keep)] == [s for s in golden if s.startswith(keep)]
 
 
 def _recording(fn, log: list):

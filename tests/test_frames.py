@@ -277,24 +277,16 @@ def test_classify_rank_deficient_is_bessel_not_frame():
     assert not rep.cert_invertible and not rep.cert_surjective
 
 
-def test_classify_absolute_tol_override():
+def test_classify_threshold_is_relative():
     fam = OperatorFamily.from_vectors(np.diag([1.0, 1e-4]))
-    assert classify(fam).is_frame  # lambda_min 1e-8 clears the relative default
-    assert not classify(fam, tol=1e-6).is_frame
+    assert classify(fam).is_frame  # lambda_min 1e-8 clears FRAME_TOL * lambda_max
 
 
-def test_classify_huge_tol_on_tiny_family_fails_the_certificate():
-    """tol / lambda_max would overflow to inf here; the absolute threshold
-    fails the verdict and the certificates together."""
-    rep = classify(OperatorFamily.from_vectors(1e-156 * np.eye(2)), tol=1e10)
-    assert not rep.is_frame and not rep.cert_invertible
-
-
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_classify_rejects_negative_or_non_finite_tol(tol):
-    fam = OperatorFamily.from_vectors([[1.0, 0.0], [1.0, 0.0]])  # fixtures/rank_deficient2.json
-    with pytest.raises(ValueError, match="tol"):
-        classify(fam, tol=tol)
+@pytest.mark.parametrize("op", [classify, canonical_dual])
+def test_frame_verdicts_take_no_tol(op):
+    """The frame verdict has one threshold, FRAME_TOL * lambda_max."""
+    with pytest.raises(TypeError, match="tol"):
+        op(OperatorFamily.from_vectors(np.eye(2)), tol=1e-6)
 
 
 @pytest.mark.parametrize("op", [frame_operator, classify, canonical_dual])
@@ -305,6 +297,17 @@ def test_overflowing_frame_operator_raises(op):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PairFrameError, match="frame operator overflows"):
+            op(fam)
+
+
+@pytest.mark.parametrize("op", [frame_operator, classify, canonical_dual])
+def test_underflowing_frame_operator_raises(op):
+    """A nonzero family whose S = 1e-312 I lies below the normal range
+    raises PairFrameError instead of a ValueError from the eigen-solve."""
+    fam = OperatorFamily.from_vectors(1e-156 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PairFrameError, match="frame operator underflows"):
             op(fam)
 
 
@@ -396,9 +399,3 @@ def test_canonical_dual_is_an_involution_when_well_conditioned(seed):
 def test_canonical_dual_rejects_non_frame():
     with pytest.raises(NotAFrameError):
         canonical_dual(OperatorFamily.from_vectors([[1.0, 0.0], [1.0, 0.0]]))
-
-
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_canonical_dual_rejects_negative_or_non_finite_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        canonical_dual(OperatorFamily.from_vectors(np.eye(2)), tol=tol)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import complex_noise, family_for, rng_for
+from conftest import SCALE_EXPONENTS, complex_noise, family_for, rng_for, scale_matrices
 from numpy.testing import assert_allclose
 from oracle import brute_numerical_range
 
@@ -433,6 +433,25 @@ def test_find_alpha_lower_bound_stays_below_a_dense_grid():
 def test_find_alpha_argument_validation():
     with pytest.raises(NonSquareError):
         find_alpha(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("k", SCALE_EXPONENTS)
+def test_find_alpha_is_scale_free(k):
+    """find_alpha(2^k S) takes the method, cuts and verdict of S, with its
+    residual up to 1e-12 relative: unscaled, the cuts' polygon overflows or
+    underflows outside about norm(S) in [1e-100, 1e100], and below 1e-160
+    a non-hermitian S would take the hermitian closed form."""
+    c = 2.0**k
+    for name, s in scale_matrices():
+        want, got = find_alpha(s), find_alpha(c * s)
+        assert (got.method, got.cuts, got.is_near_identity) == (
+            want.method, want.cuts, want.is_near_identity), name
+        assert got.residual == pytest.approx(want.residual, rel=1e-12), name
+
+
+def test_find_alpha_rejects_a_matrix_below_the_normal_range():
+    with pytest.raises(PairFrameError, match="underflows"):
+        find_alpha(1e-312 * np.eye(2))
 
 
 def test_find_alpha_grid_memory_is_bounded():

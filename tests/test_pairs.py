@@ -102,13 +102,37 @@ def test_classify_pair_residual_is_adjoint_check():
         assert classify_pair(sys).adjoint_residual == adjoint_check(sys)
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_classify_pair_rejects_negative_or_non_finite_tol(tol):
-    """On a singular S a negative tol would divide by min_singular = 0, and
-    NaN or inf would report "not a pair frame" for any S."""
-    basis = generate(GenSpec("rank_deficient", dim=3))
-    with pytest.raises(ValueError, match="tol"):
-        classify_pair(PairSystem([1.0, 1.0, 1.0], basis, basis), tol=tol)
+def test_classify_pair_takes_no_tol():
+    """The pair-frame verdict has one threshold, PAIR_TOL * sigma_max."""
+    basis = OperatorFamily.from_vectors(np.eye(2))
+    with pytest.raises(TypeError, match="tol"):
+        classify_pair(PairSystem([1.0, 1.0], basis, basis), tol=1e-6)
+
+
+def _scaled(fam: OperatorFamily, c: float) -> OperatorFamily:
+    return OperatorFamily([c * m for m in fam.members])
+
+
+@pytest.mark.parametrize("k", [-250, 250])
+def test_verdicts_are_scale_free(k):
+    """Both verdicts use relative thresholds, so the families scaled by
+    2^k get the verdicts of scale 1: frames and non-frames, a lambda_min
+    of 1e-8 relative, singular and invertible pair operators."""
+    c = 2.0**k
+    specs = [GenSpec("mercedes", dim=2), GenSpec("rank_deficient", dim=3),
+             GenSpec("random_frame", dim=4, count=9, seed=3),
+             GenSpec("weighted", dim=2, params={"scales": [1.0, 1e-4]})]
+    families = [generate(spec) for spec in specs] + [random_pair_system(7).gamma]
+    for fam in families:
+        scaled = _scaled(fam, c)
+        want, got = classify(fam), classify(scaled)
+        assert (got.is_frame, got.cert_invertible) == (want.is_frame, want.cert_invertible)
+    systems = [PairSystem(np.ones(fam.count), fam, fam) for fam in families]
+    systems += [random_pair_system(300 + j) for j in range(4)]
+    systems.append(generate_pair(GenSpec("swap_fixture", dim=2), GenSpec("orthonormal", dim=2)))
+    for sys in systems:
+        scaled = PairSystem(sys.m, _scaled(sys.gamma, c), _scaled(sys.lam, c))
+        assert classify_pair(scaled).is_pair_frame == classify_pair(sys).is_pair_frame
 
 
 def test_classify_pair_positive_system_matches_frame_bounds():
@@ -307,6 +331,29 @@ def test_overflow_raises_pair_frame_error():
         for call, name in cases:
             with pytest.raises(PairFrameError, match=f"{name} overflows"):
                 call()
+
+
+def test_underflow_raises_pair_frame_error():
+    """A nonzero pair operator or p-Bessel estimate below the normal range
+    raises PairFrameError naming it, instead of a ValueError from the
+    eigen-solve or an estimate of 0 below norm(S) = 2.96e-240."""
+    tiny = OperatorFamily.from_vectors(1e-156 * np.eye(2))
+    fam = generate(GenSpec("random_gframe", dim=6, count=10, seed=3))
+    small = _scaled(fam, 1e-120)
+    system = PairSystem(np.ones(small.count), small, small)
+    cases = [
+        (lambda: pair_operator(PairSystem([1.0, 1.0], tiny, tiny)), "pair operator"),
+        (lambda: classify_pair(PairSystem([1.0, 1.0], tiny, tiny)), "pair operator"),
+        (lambda: p_bessel_bound(small, 3.0), "p-Bessel estimate"),
+        (lambda: pq_pair_norm_bound(system, 3.0, 1.5), "p-Bessel estimate"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name in cases:
+            with pytest.raises(PairFrameError, match=f"{name} underflows"):
+                call()
+    # p = 2 is lambda_max(S) = 1e-240 B_2, in range
+    assert p_bessel_bound(small, 2.0) == pytest.approx(1e-240 * p_bessel_bound(fam, 2.0), rel=1e-12)
 
 
 def test_p_bessel_orthonormal_values():

@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import complex_noise, rng_for
+from conftest import SCALE_EXPONENTS, complex_noise, rng_for, scale_matrices
 from numpy.testing import assert_allclose
 from oracle import brute_numerical_range
 
-from pairframe import numerical_range_bounds, numerical_range_bracket, op_norm, spectral
+from pairframe import PairFrameError, numerical_range_bounds, numerical_range_bracket, op_norm, spectral
 
 EPS = np.finfo(float).eps
 
@@ -228,3 +228,48 @@ def test_numerical_range_bracket_of_a_hermitian_matrix_widens_the_sweep(rel):
     w = np.linalg.eigvalsh(0.5 * (m + mh))
     assert dist == max(0.0, w[0], -w[-1])
     assert radius == max(w[-1], -w[0])
+
+
+def _distance(m: np.ndarray) -> float:
+    """Distance of W(M) from the origin, max(0, -min h), with the least
+    h(t) = lambda_max(Re(e^{i t} M)) of the 720-angle grid refined by a
+    golden-section search to roundoff in t, which a kink of h at a corner
+    of W(M) does not slow; a sound lower value, within roundoff."""
+    h = _grid_support(m)
+    k = int(np.argmin(h))
+    step = 2.0 * math.pi / len(h)
+    a, b = step * (k - 1), step * (k + 1)
+    mh = m.conj().T
+
+    def support(theta):
+        phase = np.exp(1j * theta)
+        return float(np.linalg.eigvalsh(0.5 * (phase * m + np.conj(phase) * mh))[-1])
+
+    for _ in range(80):
+        c, d = b - spectral._INVPHI * (b - a), a + spectral._INVPHI * (b - a)
+        if support(c) < support(d):
+            b = d
+        else:
+            a = c
+    return max(0.0, -min(float(h[k]), support(a), support(b)))
+
+
+@pytest.mark.parametrize("k", SCALE_EXPONENTS)
+def test_numerical_range_bracket_is_scale_free(k):
+    """The bracket of 2^k M takes the solves of M, its ends are 2^k times
+    those of M up to 1e-12 relative, and it holds 2^k times the distance:
+    unscaled, the polygon's squared edges overflow above norm 2^600, and
+    below 1e-160 the skew norm underflows to 0 and sends a non-hermitian M
+    to the sweep."""
+    c = 2.0**k
+    for name, m in scale_matrices():
+        want, got = numerical_range_bracket(m), numerical_range_bracket(c * m)
+        assert got.solves == want.solves, name
+        assert_allclose(np.array(got[:4]) / c, want[:4], rtol=1e-12, err_msg=name)
+        d = c * _distance(m)
+        assert got.dist_lo <= d * (1.0 + 1e-12) and d * (1.0 - 1e-12) <= got.dist_hi, name
+
+
+def test_numerical_range_bracket_rejects_a_matrix_below_the_normal_range():
+    with pytest.raises(PairFrameError, match="underflows"):
+        numerical_range_bracket(1e-312 * np.eye(2))
